@@ -65,20 +65,20 @@ def energy_moments_free_closed(n: int, m: int, betah: float, h: float) -> Energy
 
 
 def energy_moments_dense(rho: QuantumState, ham: SpinHamiltonian) -> EnergyMoments:
-    hmat = ham.realize().mat
-    mean = float(np.trace(rho.mat @ hmat).real)
-    second = float(np.trace(rho.mat @ hmat @ hmat).real)
+    """<H> and <H^2> - <H>^2 of a dense state, through the bit-operation kernel."""
+    hterms = ham.terms()
+    mean = hterms.expect(rho.mat).real
+    second = (hterms @ hterms).expect(rho.mat).real
     return EnergyMoments(mean=mean, variance=second - mean * mean)
 
 
 def transverse_moments(rho_post: QuantumState) -> tuple[float, float, float]:
-    """(<Mx>, <My>, <Mx^2>) of a state, computed densely."""
+    """(<Mx>, <My>, <Mx^2>) of a dense state, through the bit-operation kernel."""
     n = rho_post.n
-    mx = total_magnetization("x", n).realize().mat
-    my = total_magnetization("y", n).realize().mat
-    return (float(np.trace(rho_post.mat @ mx).real),
-            float(np.trace(rho_post.mat @ my).real),
-            float(np.trace(rho_post.mat @ mx @ mx).real))
+    mx = total_magnetization("x", n).terms()
+    my = total_magnetization("y", n).terms()
+    return (mx.expect(rho_post.mat).real, my.expect(rho_post.mat).real,
+            (mx @ mx).expect(rho_post.mat).real)
 
 
 def matching_equilibrium_beta(e_mean: float, n: int, h: float) -> float:
@@ -181,8 +181,9 @@ def sufficient_conditions_check(a, b, rho_pre: QuantumState, outcomes) -> Suffic
     moment of a in the projected state.
     """
     amat = a.realize().mat
-    bmat = b.realize().mat
-    w, v = np.linalg.eigh(bmat)
+    a_terms = a.terms()
+    a2 = (a_terms @ a_terms).dense()
+    w, v = np.linalg.eigh(b.realize().mat)
     outs, probs, resids, ratios, skipped = [], [], [], [], []
     for target in outcomes:
         target = float(target)
@@ -202,7 +203,7 @@ def sufficient_conditions_check(a, b, rho_pre: QuantumState, outcomes) -> Suffic
         avecs = amat @ vecs
         resids.append(float(np.linalg.norm(proj @ avecs, axis=0).max()))
         prp = proj @ rho_pre.mat @ proj
-        ratios.append(float(np.trace(prp @ amat @ amat).real) / prob)
+        ratios.append(float(np.einsum("ij,ji->", prp, a2).real) / prob)
     return SufficiencyReport(outcomes=tuple(outs), probabilities=tuple(probs),
                              condition_residuals=tuple(resids),
                              second_moment_ratios=tuple(ratios),
@@ -240,7 +241,6 @@ def averaged_identity_check(rho_pre: QuantumState) -> AveragedIdentityReport:
     """
     n = rho_pre.n
     a_obs = total_magnetization("x", n)
-    mx = a_obs.realize().mat
     dist = outcome_distribution(rho_pre)
     lhs = 0.0
     skipped = []
@@ -256,7 +256,8 @@ def averaged_identity_check(rho_pre: QuantumState) -> AveragedIdentityReport:
     for m in range(-n, n + 1, 2):
         mask = sectors == m
         pinched[np.ix_(mask, mask)] = rho_pre.mat[np.ix_(mask, mask)]
-    rhs = 2.0 * float(np.trace(pinched @ mx @ mx).real)
+    mx = a_obs.terms()
+    rhs = 2.0 * float(np.einsum("ij,ji->", pinched, (mx @ mx).dense()).real)
     return AveragedIdentityReport(averaged_c=lhs, pinched_value=rhs,
                                   residual=abs(lhs - rhs), skipped=tuple(skipped))
 

@@ -8,7 +8,7 @@ feasibility (readout estimate), oracle (invariant families).
 Row-producing modes emit the fixed-schema CSV on stdout or --out; the
 CSV bytes are independent of --workers and wall-clock, which live only
 in the optional JSONL mirror. Exit codes: 0 success, 2 usage, 3 broken
-invariant, 4 over the dense capacity.
+invariant, 4 over the dense capacity or out of memory.
 """
 from __future__ import annotations
 
@@ -63,6 +63,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    cfg = None
     try:
         cfg = load_config(args.config, args.mode)
         if args.seed is not None:
@@ -80,6 +81,16 @@ def main(argv=None) -> int:
     except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        size = "?" if cfg is None else cfg.n_list or cfg.n
+        print(f"error: out of memory at n={size}: the dense pipeline does not "
+              "fit in this machine's memory", file=sys.stderr)
+        return 4
+
+
+def _defined(value: float) -> float | None:
+    """None (an empty CSV cell, JSON null) for an undefined value."""
+    return None if math.isnan(value) else value
 
 
 def _emit(rows, args) -> None:
@@ -196,7 +207,7 @@ def run_sweep(cfg: ExperimentConfig, args) -> int:
     q_fit, q_err = fit_exponent([(row["n"], row["c_dense"]) for row in rows])
     for row in rows:
         row["q_fit"] = q_fit
-        row["q_fit_err"] = q_err
+        row["q_fit_err"] = _defined(q_err)
     print(f"fit over {len(rows)} sizes: q_fit={q_fit:.6g} "
           f"q_fit_err={q_err:.3g}", file=sys.stderr)
     _emit(rows, args)
@@ -262,6 +273,7 @@ def run_fit(cfg: ExperimentConfig, args) -> int:
     points = [(row["n"], row[cfg.value_column]) for row in table
               if row["n"] is not None and row[cfg.value_column] is not None]
     q_fit, q_err = fit_exponent(points, floor=cfg.floor)
+    q_err = _defined(q_err)
     print(json.dumps({"points": len(points), "value_column": cfg.value_column,
                       "floor": cfg.floor, "q_fit": q_fit, "q_fit_err": q_err}))
     if args.out:

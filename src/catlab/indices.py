@@ -20,8 +20,8 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .errors import ContractViolationError, DomainError
-from .spincore import (AdditiveObservable, Operator, QuantumState, _check_cap,
-                       _check_outcome_parity, additive_observable,
+from .spincore import (AdditiveObservable, Operator, QuantumState, ZDiagonal,
+                       _check_cap, _check_outcome_parity, additive_observable,
                        apply_additive, as_state, double_commutator, pure_state,
                        snap_interval, trace_norm, uniform_observable)
 from .thermal import _log_binom
@@ -76,11 +76,23 @@ class VcmMatrix:
 
 
 def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
-    """Tr[rho [A, [A, eta]]], the catness of rho witnessed by (A, eta)."""
-    amat = a.realize().mat
-    emat = eta.mat if hasattr(eta, "mat") else np.asarray(eta, dtype=complex)
-    c_op = double_commutator(amat, emat)
-    val = complex(np.trace(rho.mat @ c_op.mat))
+    """Tr[rho [A, [A, eta]]], the catness of rho witnessed by (A, eta).
+
+    A z-diagonal eta (every outcome projector) goes through the
+    bit-operation kernel, which reads O(n^2 d) entries of rho and forms no
+    d x d product; any other eta is handled densely.
+    """
+    if isinstance(eta, ZDiagonal):
+        if eta.dim != rho.dim or a.n != rho.n:
+            raise ContractViolationError("expect_c dimension mismatch")
+        at, et = a.terms(), eta.terms()
+        ae = at @ et
+        val = ((at @ ae).expect(rho.mat) - 2.0 * (ae @ at).expect(rho.mat)
+               + (et @ (at @ at)).expect(rho.mat))
+    else:
+        emat = eta.mat if hasattr(eta, "mat") else np.asarray(eta, dtype=complex)
+        c_op = double_commutator(a.realize().mat, emat)
+        val = complex(np.einsum("ij,ji->", rho.mat, c_op.mat))
     scale = 1.0 + abs(val)
     if abs(val.imag) > 1e-10 * scale:
         raise ContractViolationError(f"catness value has imaginary part {val.imag:.3e}")
@@ -279,10 +291,11 @@ def fit_exponent(points, floor: bool = True) -> tuple[float, float]:
     Local log-log slopes between consecutive points are extrapolated
     linearly in 1/sqrt(n_i n_{i+1}) to the large-n limit by ordinary least
     squares; the intercept is the exponent and its standard error is the
-    reported uncertainty. Exact power laws come out exact. With floor=True
-    each value is replaced by max(value, n) first, matching how the
-    mixed-state index is defined; disable it when fitting quantities that
-    may legitimately stay below n.
+    reported uncertainty. Three points give two slopes and no residual
+    degree of freedom, so the error is undefined and comes back as NaN.
+    Exact power laws come out exact. With floor=True each value is replaced
+    by max(value, n) first, matching how the mixed-state index is defined;
+    disable it when fitting quantities that may legitimately stay below n.
     """
     pts = sorted((float(n), float(v)) for n, v in points)
     if len(pts) < 3:
@@ -304,7 +317,7 @@ def fit_exponent(points, floor: bool = True) -> tuple[float, float]:
     q = float(slopes.mean() - b * u.mean())
     dof = len(slopes) - 2
     if dof <= 0:
-        return q, 0.0
+        return q, math.nan
     resid = slopes - (q + b * u)
     sigma2 = float((resid * resid).sum()) / dof
     var_q = sigma2 * (1.0 / len(slopes) + u.mean() ** 2 / sxx)

@@ -12,10 +12,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ContractViolationError, ImpossibleOutcomeError
-from .spincore import (DENSE_CAP, Operator, QuantumState, _check_cap,
-                       _check_outcome_parity, as_state, double_commutator,
-                       mz_interval_projector, mz_projector, mz_values,
-                       pauli_site, total_magnetization)
+from .spincore import (DENSE_CAP, QuantumState, ZDiagonal, _check_cap,
+                       _check_outcome_parity, _window_mask, as_state,
+                       double_commutator, mz_interval_projector, mz_projector,
+                       mz_values, total_magnetization)
 
 PROB_FLOOR = 1e-14
 
@@ -45,23 +45,17 @@ class OutcomeSpec:
     def is_exact(self) -> bool:
         return self.kind == "exact"
 
-    def projector(self, n: int, cap: int = DENSE_CAP) -> Operator:
+    def projector(self, n: int, cap: int = DENSE_CAP) -> ZDiagonal:
+        """The outcome's projector, kept as its diagonal (no d x d matrix)."""
         if self.is_exact:
             return mz_projector(n, self.m_lo, cap)
         return mz_interval_projector(n, self.m_lo, self.m_hi, cap)
 
     def mask(self, n: int) -> np.ndarray:
         """Boolean basis-state mask of the projected subspace."""
-        vals = mz_values(n)
         if self.is_exact:
             _check_outcome_parity(n, self.m_lo)
-            return vals == self.m_lo
-        mask = (vals >= self.m_lo) & (vals <= self.m_hi)
-        if not mask.any():
-            from .errors import InvalidOutcomeError
-            raise InvalidOutcomeError(
-                f"no parity-valid magnetization in [{self.m_lo}, {self.m_hi}] at n={n}")
-        return mask
+        return _window_mask(n, self.m_lo, self.m_hi)
 
 
 @dataclass(frozen=True)
@@ -97,10 +91,11 @@ def post_state(rho: QuantumState, spec: OutcomeSpec) -> QuantumState:
     if prob <= PROB_FLOOR:
         raise ImpossibleOutcomeError(
             f"outcome {spec.kind}[{spec.m_lo}, {spec.m_hi}] has probability {prob:.3e}")
-    mat = rho.mat.copy()
-    mat[~mask, :] = 0.0
-    mat[:, ~mask] = 0.0
-    return as_state(mat / prob, check=False)
+    # np.zeros maps untouched pages lazily, so only the kept rows cost memory
+    keep = np.ix_(mask, mask)
+    mat = np.zeros(rho.mat.shape, dtype=rho.mat.dtype)
+    mat[keep] = rho.mat[keep] / prob
+    return as_state(mat, check=False)
 
 
 def sample_outcome(dist: OutcomeDistribution, seed: int) -> int:
@@ -147,4 +142,4 @@ def double_projection_dense(n: int, m_x: int, m_z: int, cap: int = DENSE_CAP) ->
     post = post_state(state, OutcomeSpec.exact(m_z))
     mx = total_magnetization("x", n).realize(cap)
     c_op = double_commutator(mx, mz_projector(n, m_z, cap))
-    return float(np.trace(post.mat @ c_op.mat).real)
+    return float(np.einsum("ij,ji->", post.mat, c_op.mat).real)

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import ContractViolationError, DomainError, InvalidOutcomeError
-from .spincore import (DENSE_CAP, Operator, QuantumState, _check_cap,
-                       _check_outcome_parity, as_state, mz_values,
-                       pauli_site, snap_interval, total_magnetization)
+from .spincore import (DENSE_CAP, Operator, PauliTerms, QuantumState,
+                       _check_cap, _check_outcome_parity, as_state, mz_values,
+                       parity_eigh, pauli_terms, snap_interval)
 
 BOUNDARIES = ("periodic", "open")
 
@@ -59,19 +59,17 @@ class SpinHamiltonian:
             pairs.append((self.n, 1))
         return pairs
 
+    def terms(self) -> PauliTerms:
+        """H through the bit-operation kernel: real, and flip-symmetric."""
+        coeffs = np.zeros((self.n, 3))
+        coeffs[:, 0] = -self.h
+        minus_j = tuple(-v for v in self.j)
+        return pauli_terms(self.n, coeffs, [(a, b, minus_j) for a, b in self.bonds()])
+
     def realize(self, cap: int = DENSE_CAP) -> Operator:
-        n = _check_cap(self.n, cap)
-        dim = 1 << n
-        out = np.zeros((dim, dim), dtype=complex)
-        if self.h != 0.0:
-            out -= self.h * total_magnetization("x", n).realize(cap).mat
-        for coupling, axis in zip(self.j, "xyz"):
-            if coupling == 0.0:
-                continue
-            for (a, b) in self.bonds():
-                out -= coupling * (pauli_site(axis, a, n, cap).mat
-                                   @ pauli_site(axis, b, n, cap).mat)
-        return Operator(out)
+        """Dense real view of H, written entry by entry from terms()."""
+        _check_cap(self.n, cap)
+        return Operator(self.terms().dense())
 
 
 @dataclass(frozen=True)
@@ -89,29 +87,31 @@ class ThermalParams:
 
 
 def gibbs_state(ham: SpinHamiltonian, beta: float, cap: int = DENSE_CAP) -> QuantumState:
-    """exp(-beta H) / Z as a density matrix."""
+    """exp(-beta H) / Z as a density matrix, from the flip-parity blocks of H."""
     ThermalParams(beta)
     n = _check_cap(ham.n, cap)
     dim = 1 << n
     if beta == 0.0:
         return as_state(np.eye(dim, dtype=complex) / dim, check=False)
-    w, v = np.linalg.eigh(ham.realize(cap).mat)
+    spec = parity_eigh(ham.realize(cap).mat)
+    w = spec.w
     logits = -beta * (w - w.min())
-    p = np.exp(logits - logsumexp(logits))
-    mat = (v * p) @ v.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    return as_state(mat / np.trace(mat).real, check=False)
+    mat = spec.density(np.exp(logits - logsumexp(logits)))
+    mat /= np.trace(mat).real
+    return as_state(mat, check=False)
 
 
 def ground_state(ham: SpinHamiltonian, cap: int = DENSE_CAP) -> QuantumState:
-    """Projector onto the ground space, mixed uniformly when degenerate."""
+    """Projector onto the ground space, mixed uniformly when degenerate.
+
+    Degeneracy is judged over both flip-parity blocks together.
+    """
     _check_cap(ham.n, cap)
-    w, v = np.linalg.eigh(ham.realize(cap).mat)
-    tol = 1e-9 * max(1.0, abs(float(w[0])))
-    sel = w <= w[0] + tol
-    vecs = v[:, sel]
-    mat = (vecs @ vecs.conj().T) / int(sel.sum())
-    return as_state(mat, check=False)
+    spec = parity_eigh(ham.realize(cap).mat)
+    w = spec.w
+    tol = 1e-9 * max(1.0, abs(float(w.min())))
+    sel = w <= w.min() + tol
+    return as_state(spec.density(sel / int(sel.sum())), check=False)
 
 
 def _log_cosh(x: float) -> float:

@@ -134,6 +134,8 @@ def test_sweep_workers_agree_byte_for_byte(tmp_path, capsys):
     rows = read_csv(one)
     assert [r["n"] for r in rows] == [4, 6, 8]
     assert len({r["q_fit"] for r in rows}) == 1  # the fit is stamped everywhere
+    # three sizes leave the fit error undefined: an empty cell, not 0
+    assert all(r["q_fit_err"] is None for r in rows)
 
 
 def test_sweep_gibbs_exponent_band(tmp_path, capsys):
@@ -155,6 +157,49 @@ def test_sweep_capacity_skip_and_fail(tmp_path, capsys):
     assert main(["sweep", "--config", soft, "--out", out]) == 0
     capsys.readouterr()
     assert [r["n"] for r in read_csv(out)] == [4, 6, 8]
+
+
+def test_sweep_runs_at_the_dense_cap(tmp_path, capsys):
+    from catlab.spincore import pauli_site
+
+    cached = pauli_site.cache_info().currsize
+    cfg = ini(tmp_path, "s.ini", "[sweep]", "n_list = 8, 10, 12",
+              "betah = 1.0", "m = 0")
+    out = str(tmp_path / "s.csv")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert pauli_site.cache_info().currsize == cached
+    rows = read_csv(out)
+    assert [r["n"] for r in rows] == [8, 10, 12]
+    row = rows[-1]
+    n, t2 = 12, math.tanh(1.0) ** 2
+    mx2 = n + 0.5 * n * n * t2
+    assert row["prob"] == pytest.approx(math.comb(n, n // 2) / 2.0**n, rel=1e-10)
+    assert row["c_dense"] == pytest.approx(c_closed_form_free(n, 0, 1.0), rel=1e-10)
+    assert row["c_dense"] == pytest.approx(row["c_closed"], rel=1e-10)
+    assert row["mx2"] == pytest.approx(mx2, rel=1e-10)
+    assert row["e_var"] == pytest.approx(mx2, rel=1e-10)
+    assert row["e_mean"] == pytest.approx(0.0, abs=1e-10)
+    assert row["purity"] <= row["purity_bound"] + 1e-12
+    assert row["q_fit_err"] is None
+    fit_cfg = ini(tmp_path, "f.ini", "[fit]", f"input_csv = {out}")
+    assert main(["fit", "--config", fit_cfg]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["q_fit_err"] is None
+
+
+def test_memory_error_is_a_capacity_failure(tmp_path, capsys, monkeypatch):
+    import catlab.cli
+
+    def exhausted(cfg, args):
+        raise MemoryError
+
+    monkeypatch.setitem(catlab.cli._HANDLERS, "convert", exhausted)
+    cfg = ini(tmp_path, "c.ini", "[convert]", "n = 12", "betah = 1.0", "m = 0")
+    assert main(["convert", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "out of memory" in err and "n=12" in err
 
 
 def test_sweep_fixture_source_rejects_gibbs_keys(tmp_path, capsys):

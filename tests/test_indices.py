@@ -25,6 +25,7 @@ from catlab.indices import (
 )
 from catlab.measure import OutcomeSpec, post_state
 from catlab.spincore import (
+    additive_observable,
     as_state,
     mz_interval_projector,
     mz_projector,
@@ -69,6 +70,29 @@ def test_expect_c_matches_reference():
     mx = denseref.magnetization("x", n)
     proj = denseref.sector_projector(n, m, m)
     assert got == pytest.approx(denseref.catness(post.mat, mx, proj), rel=RTOL)
+
+
+def test_expect_c_kernel_matches_reference_when_mx_stays_in_window():
+    # Mx maps M_z = 0 to +/-2, inside [-2, 2], so C != 2 <Mx^2> here and
+    # the kernel's full double commutator is what is checked
+    n = 6
+    ham = SpinHamiltonian(n=n, h=1.0, j=(0.3, 0.2, 0.4))
+    post = post_state(gibbs_state(ham, 0.8), OutcomeSpec.interval(-2, 2))
+    proj = denseref.sector_projector(n, -2, 2)
+    want = denseref.catness(post.mat, denseref.magnetization("x", n), proj)
+    got = expect_c(post, total_magnetization("x", n), mz_interval_projector(n, -2, 2))
+    assert got == pytest.approx(want, rel=RTOL)
+    assert abs(want - 2.0 * np.trace(post.mat @ denseref.magnetization("x", n)
+                                     @ denseref.magnetization("x", n)).real) > 1.0
+    # a general observable (y and z parts) on a random state
+    rng = np.random.default_rng(3)
+    rho = as_state(denseref.random_density_matrix(n, rng))
+    coeffs = rng.standard_normal((n, 3))
+    amat = sum(c * denseref.site_operator(axis, site + 1, n)
+               for site in range(n) for c, axis in zip(coeffs[site], "xyz"))
+    got = expect_c(rho, additive_observable(coeffs), mz_interval_projector(n, -2, 4))
+    want = denseref.catness(rho.mat, amat, denseref.sector_projector(n, -2, 4))
+    assert got == pytest.approx(want, rel=RTOL, abs=1e-12)
 
 
 def test_expect_c_invariant_under_global_flip():
@@ -263,10 +287,10 @@ def test_fit_exponent_recovers_exact_power_law():
     assert err == pytest.approx(0.0, abs=1e-12)
 
 
-def test_fit_exponent_three_points_has_zero_stderr():
+def test_fit_exponent_three_points_has_undefined_stderr():
     q, err = fit_exponent([(4, 16.0), (6, 36.0), (8, 64.0)], floor=False)
     assert q == pytest.approx(2.0, abs=1e-12)
-    assert err == 0.0
+    assert math.isnan(err)
 
 
 def test_fit_exponent_floor_clamps_values_at_n():

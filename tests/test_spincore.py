@@ -16,6 +16,7 @@ from catlab.spincore import (
     mz_interval_projector,
     mz_projector,
     mz_values,
+    parity_eigh,
     pauli_site,
     pure_state,
     snap_interval,
@@ -107,6 +108,13 @@ def test_apply_additive_random_directions(seed):
             dense += coeffs[site - 1, k] * denseref.site_operator(axis, site, n)
     np.testing.assert_allclose(apply_additive(obs, vec[:, None])[:, 0],
                                dense @ vec, rtol=1e-11, atol=1e-11)
+
+
+def test_parity_eigh_rejects_flip_odd_or_complex_input():
+    with pytest.raises(ContractViolationError):
+        parity_eigh(denseref.magnetization("z", 3).real)
+    with pytest.raises(ContractViolationError):
+        parity_eigh(denseref.hamiltonian(3, 1.0))
 
 
 def test_uniform_observable_realizes_magnetization():

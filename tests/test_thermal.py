@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 import denseref
 from catlab.errors import DomainError
 from catlab.measure import OutcomeSpec, outcome_probability
+from catlab.spincore import parity_eigh
 from catlab.thermal import (
     SpinHamiltonian,
     gibbs_state,
@@ -39,19 +40,28 @@ def test_is_free_flag():
     assert not SpinHamiltonian(n=4, h=1.0, j=(0.1, 0.0, 0.0)).is_free
 
 
+KERNEL_SIZES = (1, 2, 3, 4, 5, 8)
+
+
 def test_realize_matches_reference():
-    for boundary in ("periodic", "open"):
-        ham = SpinHamiltonian(n=4, h=0.8, j=(0.3, 0.2, 0.4), boundary=boundary)
-        want = denseref.hamiltonian(4, 0.8, (0.3, 0.2, 0.4), boundary)
-        np.testing.assert_allclose(ham.realize().mat, want, atol=1e-12)
+    # built by bit flips and signs; jy != 0 exercises the -z_a z_b entry
+    for n in KERNEL_SIZES:
+        for boundary in ("periodic", "open"):
+            ham = SpinHamiltonian(n=n, h=0.8, j=(0.3, 0.2, 0.4), boundary=boundary)
+            want = denseref.hamiltonian(n, 0.8, (0.3, 0.2, 0.4), boundary)
+            np.testing.assert_allclose(ham.realize().mat, want, atol=1e-12)
 
 
 def test_gibbs_state_matches_expm():
-    ham = SpinHamiltonian(n=4, h=0.7, j=(0.2, 0.1, 0.3))
-    rho = gibbs_state(ham, beta=0.9)
-    want = denseref.gibbs(denseref.hamiltonian(4, 0.7, (0.2, 0.1, 0.3)), 0.9)
-    np.testing.assert_allclose(rho.mat, want, atol=1e-12)
-    assert np.trace(rho.mat).real == pytest.approx(1.0, rel=RTOL)
+    # flip-parity block eigensolves against a full-space matrix exponential
+    for n in KERNEL_SIZES:
+        for boundary in ("periodic", "open"):
+            ham = SpinHamiltonian(n=n, h=0.7, j=(0.2, 0.1, 0.3), boundary=boundary)
+            rho = gibbs_state(ham, beta=0.9)
+            want = denseref.gibbs(denseref.hamiltonian(n, 0.7, (0.2, 0.1, 0.3),
+                                                       boundary), 0.9)
+            np.testing.assert_allclose(rho.mat, want, atol=1e-12)
+            assert np.trace(rho.mat).real == pytest.approx(1.0, rel=RTOL)
 
 
 def test_ground_state_free_field_is_polarized():
@@ -65,6 +75,18 @@ def test_ground_state_free_field_is_polarized():
 def test_ground_state_degenerate_becomes_uniform_mixture():
     rho = ground_state(SpinHamiltonian(n=3, h=0.0))
     np.testing.assert_allclose(rho.mat, np.eye(8) / 8.0, atol=1e-12)
+
+
+def test_ground_state_degeneracy_spans_both_parity_sectors():
+    # at h = 0 the ferromagnetic ring's two aligned states are its ground
+    # space; (|up..up> +/- |down..down>)/sqrt(2) lie in opposite parity blocks
+    for n in (2, 3, 5):
+        ham = SpinHamiltonian(n=n, h=0.0, j=(0.0, 0.0, 1.0))
+        spec = parity_eigh(ham.realize().mat)
+        assert spec.w_plus.min() == pytest.approx(spec.w_minus.min(), abs=1e-12)
+        want = np.zeros((2**n, 2**n))
+        want[0, 0] = want[-1, -1] = 0.5
+        np.testing.assert_allclose(ground_state(ham).mat, want, atol=1e-12)
 
 
 def test_log_free_partition_eq_matches_dense_trace():
