@@ -12,7 +12,7 @@ from .analysis import (AveragedIdentityReport, EnergyMoments, EvolutionReport,
                        averaged_identity_check, energy_moments_dense,
                        energy_moments_free_closed, feasibility_calc,
                        matching_equilibrium_beta, pauli_decomposition_c,
-                       purity, purity_bound_free, sufficiency_ratio_exponent,
+                       purity_bound_free, sufficiency_ratio_exponent,
                        sufficient_conditions_check, symmetry_even_in_h,
                        time_evolution_invariance, transverse_moments)
 from .config import MODES, ExperimentConfig, load_config

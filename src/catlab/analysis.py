@@ -17,7 +17,7 @@ from .errors import ContractViolationError, DomainError
 from .indices import expect_c, fit_exponent, optimal_witness
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state)
-from .spincore import (DENSE_CAP, QuantumState, _check_cap, double_commutator,
+from .spincore import (QuantumState, _bit_table, double_commutator,
                        mz_projector, mz_values, total_magnetization,
                        unitary_evolution)
 from .thermal import SpinHamiltonian, gibbs_state, log_free_partition_post
@@ -29,11 +29,6 @@ MU_BOHR_PRECISE = 9.274e-24
 MU_ZERO_PRECISE = 1.2566e-6
 MU_BOHR_ROUNDED = 9.3e-24
 MU_ZERO_ROUNDED = 1.2e-6
-
-
-def purity(rho: QuantumState) -> float:
-    """Tr[rho^2]."""
-    return rho.purity
 
 
 def purity_bound_free(n: int, m: int, betah: float) -> float:
@@ -106,14 +101,6 @@ class SymmetryReport:
     rz_residual: float
 
 
-def _pi_z_rotation(n: int) -> np.ndarray:
-    r = np.array([-1j, 1j])
-    out = np.array([1.0 + 0j])
-    for _ in range(n):
-        out = np.kron(out, r)
-    return np.diag(out)
-
-
 def symmetry_even_in_h(build_ham, betah_grid, m: int = 0) -> SymmetryReport:
     """Compare the pipeline at +h and -h on a grid of field strengths.
 
@@ -121,23 +108,24 @@ def symmetry_even_in_h(build_ham, betah_grid, m: int = 0) -> SymmetryReport:
     temperature is held at one so the grid directly sweeps beta*h. Reports
     relative evenness residuals of the sector weight and the catness value,
     plus the worst-case defect of the exact pi-rotation identity
-    H(-h) = R_z H(h) R_z^dagger. Nothing is asserted: a symmetry-breaking
-    control term is expected to show up here.
+    H(-h) = R_z H(h) R_z^dagger. R_z is prod sigma_z up to a global phase
+    that cancels, so the conjugation multiplies entry (k, l) by the z
+    parities of k and l. Nothing is asserted: a symmetry-breaking control
+    term is expected to show up here.
     """
     grid = tuple(float(g) for g in betah_grid)
     z_res, c_res = [], []
     rz_defect = 0.0
-    rz = None
     for g in grid:
         ham_p = build_ham(g)
         ham_m = build_ham(-g)
         n = ham_p.n
-        if rz is None:
-            rz = _pi_z_rotation(n)
+        parity = _bit_table(n)[1].prod(axis=0)
         hp = ham_p.realize().mat
         hm = ham_m.realize().mat
         scale = 1.0 + float(np.abs(hp).max())
-        rz_defect = max(rz_defect, float(np.abs(hm - rz @ hp @ rz.conj().T).max()) / scale)
+        flipped = parity[:, None] * hp * parity[None, :]
+        rz_defect = max(rz_defect, float(np.abs(hm - flipped).max()) / scale)
 
         spec = OutcomeSpec.exact(m)
         pair = []
@@ -175,24 +163,27 @@ class SufficiencyReport:
 def sufficient_conditions_check(a, b, rho_pre: QuantumState, outcomes) -> SufficiencyReport:
     """Validate the sector-escape condition behind the closed catness forms.
 
-    a is the witnessed observable, b the measured one. For each requested
-    eigenvalue of b the check reports how strongly a maps that eigensector
-    back into itself (zero means the closed form is exact) and the second
-    moment of a in the projected state.
+    a is the witnessed additive observable, b the measured one, which must
+    be z-diagonal (such as M_z) so that its eigensectors are sets of basis
+    states. For each requested eigenvalue of b the check reports how
+    strongly a maps that eigensector back into itself (zero means the
+    closed form is exact) and the second moment of a in the projected state.
     """
-    amat = a.realize().mat
+    b_terms = b.terms()
+    if set(b_terms.flips) - {0}:
+        raise ContractViolationError("the measured observable must be z-diagonal")
+    w = np.zeros(1 << b.n) + b_terms.flips.get(0, 0.0)
     a_terms = a.terms()
+    amat = a_terms.dense()
     a2 = (a_terms @ a_terms).dense()
-    w, v = np.linalg.eigh(b.realize().mat)
     outs, probs, resids, ratios, skipped = [], [], [], [], []
     for target in outcomes:
         target = float(target)
         sel = np.abs(w - target) < SECTOR_TOL
         if not sel.any():
             raise DomainError(f"{target} is not an eigenvalue of the measured observable")
-        vecs = v[:, sel]
-        proj = vecs @ vecs.conj().T
-        prob = float(np.einsum("ij,ji->", proj, rho_pre.mat).real)
+        block = np.ix_(sel, sel)
+        prob = float(np.diagonal(rho_pre.mat)[sel].real.sum())
         outs.append(target)
         probs.append(prob)
         if prob < PROB_SKIP:
@@ -200,10 +191,8 @@ def sufficient_conditions_check(a, b, rho_pre: QuantumState, outcomes) -> Suffic
             resids.append(math.nan)
             ratios.append(math.nan)
             continue
-        avecs = amat @ vecs
-        resids.append(float(np.linalg.norm(proj @ avecs, axis=0).max()))
-        prp = proj @ rho_pre.mat @ proj
-        ratios.append(float(np.einsum("ij,ji->", prp, a2).real) / prob)
+        resids.append(float(np.linalg.norm(amat[block], axis=0).max()))
+        ratios.append(float(np.einsum("ij,ji->", rho_pre.mat[block], a2[block]).real) / prob)
     return SufficiencyReport(outcomes=tuple(outs), probabilities=tuple(probs),
                              condition_residuals=tuple(resids),
                              second_moment_ratios=tuple(ratios),
@@ -252,12 +241,9 @@ def averaged_identity_check(rho_pre: QuantumState) -> AveragedIdentityReport:
         rho_m = post_state(rho_pre, spec)
         lhs += p * expect_c(rho_m, a_obs, spec.projector(n))
     sectors = mz_values(n)
-    pinched = np.zeros_like(rho_pre.mat)
-    for m in range(-n, n + 1, 2):
-        mask = sectors == m
-        pinched[np.ix_(mask, mask)] = rho_pre.mat[np.ix_(mask, mask)]
+    pinched = np.where(sectors[:, None] == sectors[None, :], rho_pre.mat, 0.0)
     mx = a_obs.terms()
-    rhs = 2.0 * float(np.einsum("ij,ji->", pinched, (mx @ mx).dense()).real)
+    rhs = 2.0 * (mx @ mx).expect(pinched).real
     return AveragedIdentityReport(averaged_c=lhs, pinched_value=rhs,
                                   residual=abs(lhs - rhs), skipped=tuple(skipped))
 
@@ -293,9 +279,9 @@ def time_evolution_invariance(rho_post: QuantumState, ham: SpinHamiltonian,
     n = rho_post.n
     hmat = ham.realize().mat
     a_obs = total_magnetization("x", n)
-    mx = a_obs.realize().mat
-    comm = hmat @ mx - mx @ hmat
-    scale = 1.0 + float(np.abs(hmat).max()) * float(np.abs(mx).max())
+    # the largest entry of the realized Mx is 1, so the scale is that of H
+    comm = a_obs.terms().commutator(hmat)
+    scale = 1.0 + float(np.abs(hmat).max())
     commutes = float(np.abs(comm).max()) <= 1e-10 * scale
     notice = "" if commutes else "hamiltonian does not commute with Mx; no invariance expected"
 
@@ -379,17 +365,14 @@ def _merge_setting(setting: str, string: str) -> str | None:
     return "".join(merged)
 
 
-def pauli_decomposition_c(n: int, m: int, cap: int = DENSE_CAP) -> PauliDecomposition:
+def pauli_decomposition_c(n: int, m: int) -> PauliDecomposition:
     """Decompose [Mx, [Mx, P_m]] into Pauli strings and group them.
 
     Grouping is greedy first-fit over strings sorted by decreasing weight,
     which lands on (n^2 - n)/2 + 1 settings or fewer: one joint setting per
     site pair plus the all-longitudinal one.
     """
-    _check_cap(n, cap)
-    proj = mz_projector(n, m, cap=cap)
-    mx = total_magnetization("x", n).realize(cap).mat
-    c_op = double_commutator(mx, proj).mat
+    c_op = double_commutator(total_magnetization("x", n), mz_projector(n, m)).mat
     scale = max(float(np.abs(c_op).max()), 1e-300)
     raw = _extract_strings(c_op, scale)
     order = sorted(range(len(raw)),

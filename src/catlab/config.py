@@ -174,12 +174,6 @@ def load_config(path: str, mode: str) -> ExperimentConfig:
     return builder(cfg, items)
 
 
-def require_seed(cfg: ExperimentConfig, why: str) -> int:
-    if cfg.seed is None:
-        raise UsageError(f"a seed is required {why}")
-    return cfg.seed
-
-
 class _Builders:
     @staticmethod
     def convert(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:

@@ -80,7 +80,7 @@ def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
 
     A z-diagonal eta (every outcome projector) goes through the
     bit-operation kernel, which reads O(n^2 d) entries of rho and forms no
-    d x d product; any other eta is handled densely.
+    d x d product; any other eta goes through the kernel double commutator.
     """
     if isinstance(eta, ZDiagonal):
         if eta.dim != rho.dim or a.n != rho.n:
@@ -90,8 +90,7 @@ def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
         val = ((at @ ae).expect(rho.mat) - 2.0 * (ae @ at).expect(rho.mat)
                + (et @ (at @ at)).expect(rho.mat))
     else:
-        emat = eta.mat if hasattr(eta, "mat") else np.asarray(eta, dtype=complex)
-        c_op = double_commutator(a.realize().mat, emat)
+        c_op = double_commutator(a, eta)
         val = complex(np.einsum("ij,ji->", rho.mat, c_op.mat))
     scale = 1.0 + abs(val)
     if abs(val.imag) > 1e-10 * scale:
@@ -153,8 +152,7 @@ def optimal_witness(rho: QuantumState, a: AdditiveObservable) -> tuple[Operator,
     so the exact maximum over projectors is the positive eigenspace of D and
     the value is the sum of D's positive eigenvalues, half the trace norm.
     """
-    amat = a.realize().mat
-    d_op = double_commutator(amat, rho.mat).mat
+    d_op = double_commutator(a, rho).mat
     w, v = np.linalg.eigh(d_op)
     scale = 1.0 + float(np.abs(w).max(initial=0.0))
     sel = w > _EIG_FLOOR * scale
@@ -168,8 +166,7 @@ def optimal_witness(rho: QuantumState, a: AdditiveObservable) -> tuple[Operator,
 
 def q_functional(rho: QuantumState, a: AdditiveObservable) -> float:
     """Trace norm of [A, [A, rho]]; zero exactly when A and rho commute."""
-    amat = a.realize().mat
-    return trace_norm(double_commutator(amat, rho.mat))
+    return trace_norm(double_commutator(a, rho))
 
 
 def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray]:

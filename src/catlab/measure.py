@@ -12,10 +12,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ContractViolationError, ImpossibleOutcomeError
-from .spincore import (DENSE_CAP, QuantumState, ZDiagonal, _check_cap,
-                       _check_outcome_parity, _window_mask, as_state,
-                       double_commutator, mz_interval_projector, mz_projector,
-                       mz_values, total_magnetization)
+from .spincore import (QuantumState, ZDiagonal, _check_cap, _check_outcome_parity,
+                       _window_mask, as_state, double_commutator,
+                       mz_interval_projector, mz_projector, mz_values,
+                       total_magnetization)
 
 PROB_FLOOR = 1e-14
 
@@ -45,11 +45,11 @@ class OutcomeSpec:
     def is_exact(self) -> bool:
         return self.kind == "exact"
 
-    def projector(self, n: int, cap: int = DENSE_CAP) -> ZDiagonal:
+    def projector(self, n: int) -> ZDiagonal:
         """The outcome's projector, kept as its diagonal (no d x d matrix)."""
         if self.is_exact:
-            return mz_projector(n, self.m_lo, cap)
-        return mz_interval_projector(n, self.m_lo, self.m_hi, cap)
+            return mz_projector(n, self.m_lo)
+        return mz_interval_projector(n, self.m_lo, self.m_hi)
 
     def mask(self, n: int) -> np.ndarray:
         """Boolean basis-state mask of the projected subspace."""
@@ -125,10 +125,9 @@ def double_projection_c(n: int, m_x: int, m_z: int) -> float:
     return 2.0 * n + (n * n - m_z * m_z) * (m_x * m_x - n) / (n * (n - 1.0))
 
 
-def double_projection_dense(n: int, m_x: int, m_z: int, cap: int = DENSE_CAP) -> float:
+def double_projection_dense(n: int, m_x: int, m_z: int) -> float:
     """Dense companion of double_projection_c, evaluated end to end."""
-    _check_cap(n, cap)
-    dim = 1 << n
+    _check_cap(n)
     _check_outcome_parity(n, m_x)
     _check_outcome_parity(n, m_z)
     # Hadamard-rotate the z-sector projector to get the x-sector one
@@ -136,10 +135,9 @@ def double_projection_dense(n: int, m_x: int, m_z: int, cap: int = DENSE_CAP) ->
     rot = np.array([[1.0]], dtype=complex)
     for _ in range(n):
         rot = np.kron(rot, had)
-    px = rot @ mz_projector(n, m_x, cap).mat @ rot.conj().T
+    px = rot @ mz_projector(n, m_x).mat @ rot.conj().T
     rho = px / np.trace(px).real
     state = as_state(rho, check=False)
     post = post_state(state, OutcomeSpec.exact(m_z))
-    mx = total_magnetization("x", n).realize(cap)
-    c_op = double_commutator(mx, mz_projector(n, m_z, cap))
+    c_op = double_commutator(total_magnetization("x", n), mz_projector(n, m_z))
     return float(np.einsum("ij,ji->", post.mat, c_op.mat).real)

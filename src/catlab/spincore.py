@@ -7,7 +7,10 @@ flips one bit, a y flips it with amplitude i z, a z is the sign z on the
 diagonal, and a bond term is the product of two of these. Applying such an
 operator to vectors, tracing it against a density matrix and writing its
 dense view cost O(2^n) work per term, and composing two of them O(2^n) per
-pair of terms, with no Kronecker products and no matrix products.
+pair of terms, with no Kronecker products and no matrix products. The
+commutator of such an operator with a dense d x d matrix costs O(d^2) per
+term, so the double commutator [A, [A, X]] of an additive observable A
+is two kernel commutators instead of three d x d matrix products.
 
 Density matrices and general operators are dense arrays, which is the right
 tool up to the dense cap of twelve spins: exact eigendecompositions beat any
@@ -45,11 +48,11 @@ def _check_axis(axis: str) -> str:
     return axis
 
 
-def _check_cap(n: int, cap: int = DENSE_CAP) -> int:
+def _check_cap(n: int) -> int:
     if n < 1:
         raise ContractViolationError(f"need at least one site, got n={n}")
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the dense cap of {cap} spins")
+    if n > DENSE_CAP:
+        raise CapacityError(f"n={n} exceeds the dense cap of {DENSE_CAP} spins")
     return n
 
 
@@ -115,6 +118,17 @@ class PauliTerms:
             for f, a in self.flips.items():
                 _accumulate(flips, f ^ g, b * (a[idx ^ g] if np.ndim(a) else a))
         return PauliTerms(self.n, flips)
+
+    def commutator(self, mat: np.ndarray) -> np.ndarray:
+        """[T, mat] = T mat - mat T, as apply(mat) - apply(mat^dagger)^dagger.
+
+        Exact when T is Hermitian, as every sum of Pauli strings with real
+        coefficients is; mat may be any d x d matrix.
+        """
+        out = self.apply(mat)
+        # row gathers from a transposed view are strided; copy it once
+        out -= self.apply(np.ascontiguousarray(mat.conj().T)).conj().T
+        return out
 
     def expect(self, mat: np.ndarray) -> complex:
         """Tr[mat @ T], reading mat only where T has entries."""
@@ -288,9 +302,9 @@ class AdditiveObservable:
     def terms(self) -> PauliTerms:
         return pauli_terms(self.n, self.site_coeffs)
 
-    def realize(self, cap: int = DENSE_CAP) -> Operator:
+    def realize(self) -> Operator:
         """Dense matrix sum_i (c_x sigma_x^i + c_y sigma_y^i + c_z sigma_z^i)."""
-        _check_cap(self.n, cap)
+        _check_cap(self.n)
         return Operator(self.terms().dense())
 
 
@@ -324,14 +338,14 @@ def uniform_observable(direction, n: int) -> AdditiveObservable:
 
 
 @lru_cache(maxsize=None)
-def pauli_site(axis: str, site: int, n: int, cap: int = DENSE_CAP) -> Operator:
+def pauli_site(axis: str, site: int, n: int) -> Operator:
     """sigma_axis acting on one site of an n-spin register, as a dense matrix.
 
     Sites are numbered 1..n with site 1 as the most significant factor.
     Every result is cached; the pipeline itself never calls this.
     """
     _check_axis(axis)
-    _check_cap(n, cap)
+    _check_cap(n)
     if not 1 <= site <= n:
         raise ContractViolationError(f"site {site} out of range 1..{n}")
     coeffs = np.zeros((n, 3))
@@ -375,20 +389,20 @@ def _window_mask(n: int, m_lo: int, m_hi: int) -> np.ndarray:
     return mask
 
 
-def mz_projector(n: int, m: int, cap: int = DENSE_CAP) -> ZDiagonal:
+def mz_projector(n: int, m: int) -> ZDiagonal:
     """Projector onto the total-magnetization sector M_z = m."""
-    _check_cap(n, cap)
+    _check_cap(n)
     _check_outcome_parity(n, m)
     return ZDiagonal((mz_values(n) == m).astype(float))
 
 
-def mz_interval_projector(n: int, m_lo: int, m_hi: int, cap: int = DENSE_CAP) -> ZDiagonal:
+def mz_interval_projector(n: int, m_lo: int, m_hi: int) -> ZDiagonal:
     """Projector onto m_lo <= M_z <= m_hi.
 
     Equals the sum of mz_projector over the parity-valid magnetizations in
     the window; raises if the window contains none.
     """
-    _check_cap(n, cap)
+    _check_cap(n)
     if m_lo > m_hi:
         raise InvalidOutcomeError(f"empty interval [{m_lo}, {m_hi}]")
     return ZDiagonal(_window_mask(n, m_lo, m_hi).astype(float))
@@ -503,15 +517,19 @@ def unitary_evolution(h_op, t: float) -> Operator:
     return Operator((v * np.exp(-1j * w * t)) @ v.conj().T)
 
 
-def double_commutator(a, eta) -> Operator:
-    """[A, [A, eta]] = A A eta - 2 A eta A + eta A A."""
-    amat = _mat(a)
-    emat = _mat(eta)
-    if amat.shape != emat.shape:
+def double_commutator(a: AdditiveObservable, x) -> Operator:
+    """[A, [A, X]] for an additive observable A and any d x d matrix X.
+
+    Two kernel commutators, O(n d^2) work and no matrix product; X need not
+    be Hermitian.
+    """
+    if not isinstance(a, AdditiveObservable):
+        raise ContractViolationError("double_commutator needs an AdditiveObservable as A")
+    xmat = _mat(x)
+    if xmat.shape != (1 << a.n, 1 << a.n):
         raise ContractViolationError("double_commutator dimension mismatch")
-    ae = amat @ emat
-    out = amat @ ae - 2.0 * ae @ amat + emat @ amat @ amat
-    return Operator(out)
+    terms = a.terms()
+    return Operator(terms.commutator(terms.commutator(xmat)))
 
 
 def trace_norm(op) -> float:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import ContractViolationError, DomainError, InvalidOutcomeError
-from .spincore import (DENSE_CAP, Operator, PauliTerms, QuantumState,
-                       _check_cap, _check_outcome_parity, as_state, mz_values,
-                       parity_eigh, pauli_terms, snap_interval)
+from .errors import ContractViolationError, DomainError
+from .spincore import (Operator, PauliTerms, QuantumState, _check_cap,
+                       _check_outcome_parity, as_state, mz_values, parity_eigh,
+                       pauli_terms, snap_interval)
 
 BOUNDARIES = ("periodic", "open")
 
@@ -66,9 +66,9 @@ class SpinHamiltonian:
         minus_j = tuple(-v for v in self.j)
         return pauli_terms(self.n, coeffs, [(a, b, minus_j) for a, b in self.bonds()])
 
-    def realize(self, cap: int = DENSE_CAP) -> Operator:
+    def realize(self) -> Operator:
         """Dense real view of H, written entry by entry from terms()."""
-        _check_cap(self.n, cap)
+        _check_cap(self.n)
         return Operator(self.terms().dense())
 
 
@@ -86,14 +86,14 @@ class ThermalParams:
         return self.beta * h
 
 
-def gibbs_state(ham: SpinHamiltonian, beta: float, cap: int = DENSE_CAP) -> QuantumState:
+def gibbs_state(ham: SpinHamiltonian, beta: float) -> QuantumState:
     """exp(-beta H) / Z as a density matrix, from the flip-parity blocks of H."""
     ThermalParams(beta)
-    n = _check_cap(ham.n, cap)
+    n = _check_cap(ham.n)
     dim = 1 << n
     if beta == 0.0:
         return as_state(np.eye(dim, dtype=complex) / dim, check=False)
-    spec = parity_eigh(ham.realize(cap).mat)
+    spec = parity_eigh(ham.realize().mat)
     w = spec.w
     logits = -beta * (w - w.min())
     mat = spec.density(np.exp(logits - logsumexp(logits)))
@@ -101,13 +101,12 @@ def gibbs_state(ham: SpinHamiltonian, beta: float, cap: int = DENSE_CAP) -> Quan
     return as_state(mat, check=False)
 
 
-def ground_state(ham: SpinHamiltonian, cap: int = DENSE_CAP) -> QuantumState:
+def ground_state(ham: SpinHamiltonian) -> QuantumState:
     """Projector onto the ground space, mixed uniformly when degenerate.
 
     Degeneracy is judged over both flip-parity blocks together.
     """
-    _check_cap(ham.n, cap)
-    spec = parity_eigh(ham.realize(cap).mat)
+    spec = parity_eigh(ham.realize().mat)
     w = spec.w
     tol = 1e-9 * max(1.0, abs(float(w.min())))
     sel = w <= w.min() + tol

@@ -14,7 +14,6 @@ from catlab.analysis import (
     feasibility_calc,
     matching_equilibrium_beta,
     pauli_decomposition_c,
-    purity,
     purity_bound_free,
     sufficiency_ratio_exponent,
     sufficient_conditions_check,
@@ -22,7 +21,7 @@ from catlab.analysis import (
     time_evolution_invariance,
     transverse_moments,
 )
-from catlab.errors import DomainError
+from catlab.errors import ContractViolationError, DomainError
 from catlab.indices import c_closed_form_free
 from catlab.measure import OutcomeSpec, post_state
 from catlab.spincore import as_state, pure_state, total_magnetization
@@ -38,7 +37,7 @@ def free_post(n, betah, m=0):
 
 def test_purity_matches_trace_square():
     rho = free_post(4, 0.8)
-    assert purity(rho) == pytest.approx(np.trace(rho.mat @ rho.mat).real, rel=1e-13)
+    assert rho.purity == pytest.approx(np.trace(rho.mat @ rho.mat).real, rel=1e-13)
 
 
 def test_purity_bound_holds_and_saturates_at_infinite_temperature():
@@ -47,8 +46,8 @@ def test_purity_bound_holds_and_saturates_at_infinite_temperature():
             for betah in (0.0, 0.4, 1.5):
                 post = free_post(n, betah, m)
                 bound = purity_bound_free(n, m, betah)
-                assert purity(post) <= bound + 1e-12
-            assert purity(free_post(n, m=m, betah=0.0)) == pytest.approx(
+                assert post.purity <= bound + 1e-12
+            assert free_post(n, m=m, betah=0.0).purity == pytest.approx(
                 purity_bound_free(n, m, 0.0), abs=1e-12)
 
 
@@ -147,6 +146,13 @@ def test_sufficient_conditions_rejects_non_eigenvalues():
     b = total_magnetization("z", 4)
     with pytest.raises(DomainError):
         sufficient_conditions_check(a, b, rho, (1,))
+
+
+def test_sufficient_conditions_needs_a_z_diagonal_measured_observable():
+    rho = free_post(4, 0.5)
+    mx = total_magnetization("x", 4)
+    with pytest.raises(ContractViolationError):
+        sufficient_conditions_check(mx, mx, rho, (0,))
 
 
 def test_sufficiency_ratio_exponent_near_quadratic():

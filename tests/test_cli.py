@@ -83,6 +83,27 @@ def test_convert_sampled_is_seed_deterministic(tmp_path, capsys):
     assert len({r["seed"] for r in rows}) == 5  # per-shot derived seeds differ
 
 
+def test_convert_sampled_builds_the_state_once(tmp_path, capsys, monkeypatch):
+    import catlab.cli
+
+    calls = []
+
+    def counting(ham, beta):
+        calls.append(ham.n)
+        return catlab.thermal.gibbs_state(ham, beta)
+
+    monkeypatch.setattr(catlab.cli, "gibbs_state", counting)
+    cfg = ini(tmp_path, "c.ini", "[convert]", "n = 6", "betah = 0.7",
+              "outcome = sampled", "shots = 8", "seed = 11")
+    out = str(tmp_path / "rows.csv")
+    assert main(["convert", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    rows = read_csv(out)
+    assert len(rows) == 8
+    assert len({row["m_lo"] for row in rows}) > 1
+    assert calls == [6]
+
+
 def test_convert_sampled_requires_seed(tmp_path, capsys):
     cfg = ini(tmp_path, "s.ini", "[convert]", "n = 4", "betah = 0.8",
               "outcome = sampled", "shots = 5")

@@ -231,9 +231,29 @@ def test_double_commutator_matches_reference():
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     eta = (g + g.conj().T) / 2.0
     amat = denseref.magnetization("x", 3)
-    from catlab.spincore import as_operator
-    got = double_commutator(as_operator(amat), eta).mat
+    got = double_commutator(total_magnetization("x", 3), eta).mat
     np.testing.assert_allclose(got, denseref.double_commutator(amat, eta), atol=1e-11)
+
+
+def test_double_commutator_site_dependent_observable_non_hermitian_operand():
+    rng = np.random.default_rng(17)
+    n = 5
+    coeffs = rng.standard_normal((n, 3))
+    assert np.all(coeffs[:, 1] != 0.0)
+    amat = sum(c * denseref.site_operator(axis, site, n)
+               for site in range(1, n + 1)
+               for axis, c in zip("xyz", coeffs[site - 1]))
+    x = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    got = double_commutator(additive_observable(coeffs), x).mat
+    np.testing.assert_allclose(got, denseref.double_commutator(amat, x), atol=1e-10)
+
+
+def test_double_commutator_rejects_a_dense_observable():
+    amat = denseref.magnetization("x", 3)
+    with pytest.raises(ContractViolationError):
+        double_commutator(amat, np.eye(8))
+    with pytest.raises(ContractViolationError):
+        double_commutator(total_magnetization("x", 3), np.eye(4))
 
 
 def test_trace_norm_matches_singular_values():
@@ -269,6 +289,3 @@ def test_dense_cap_guards_realization():
         mz_projector(DENSE_CAP + 1, DENSE_CAP + 1)
     with pytest.raises(CapacityError):
         total_magnetization("z", DENSE_CAP + 2).realize()
-    # a larger explicit cap lifts the guard
-    op = mz_projector(DENSE_CAP + 1, DENSE_CAP + 1, cap=DENSE_CAP + 1)
-    assert op.dim == 2 ** (DENSE_CAP + 1)
