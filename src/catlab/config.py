@@ -31,6 +31,7 @@ _MODE_KEYS = {
 }
 
 _GIBBS_ONLY_SWEEP_KEYS = ("beta", "betah", "h", "jx", "jy", "jz", "boundary", "m")
+_FIXTURE_ONLY_SWEEP_KEYS = ("resolution",)
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -220,16 +221,24 @@ class _Builders:
         if source != "gibbs" and source not in FIXTURE_KINDS:
             raise UsageError(
                 f"source must be gibbs or one of {sorted(FIXTURE_KINDS)}, got {source!r}")
+        # only fixture sources run the observable search
+        if source == "gibbs":
+            foreign, owner = _FIXTURE_ONLY_SWEEP_KEYS, "fixture sources"
+        else:
+            foreign, owner = _GIBBS_ONLY_SWEEP_KEYS, "source=gibbs"
+        stray = [k for k in foreign if k in items]
+        if stray:
+            raise UsageError(
+                f"{', '.join(stray)} only appl{'y' if len(stray) > 1 else 'ies'} to {owner}")
         if source == "gibbs":
             beta, h = _resolve_temperature(items, "sweep", required=True)
             m = _parse_int(items.get("m", "0"), "m")
         else:
-            stray = [k for k in _GIBBS_ONLY_SWEEP_KEYS if k in items]
-            if stray:
-                raise UsageError(
-                    f"{', '.join(stray)} only appl{'y' if len(stray) > 1 else 'ies'}"
-                    f" to source=gibbs")
             beta, h, m = None, 1.0, None
+        resolution = _parse_int(items.get("resolution", str(SEARCH_RESOLUTION)),
+                                "resolution")
+        if resolution < 2:
+            raise UsageError(f"resolution must be at least 2, got {resolution}")
         return replace(
             cfg,
             n_list=n_list, source=source, beta=beta, h=h, m=m,
@@ -238,8 +247,7 @@ class _Builders:
                _parse_float(items.get("jz", "0"), "jz")),
             boundary=_parse_choice(items.get("boundary", "periodic"),
                                    "boundary", set(BOUNDARIES)),
-            resolution=_parse_int(items.get("resolution", str(SEARCH_RESOLUTION)),
-                                  "resolution"),
+            resolution=resolution,
             seed=_parse_int(items["seed"], "seed") if "seed" in items else None,
             on_capacity=_parse_choice(items.get("on_capacity", "fail"),
                                       "on_capacity", {"skip", "fail"}),

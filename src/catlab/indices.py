@@ -7,6 +7,13 @@ found by a golden-spiral direction grid with local refinement, and p-index
 candidates for pure states come from the single-site variance-covariance
 matrix. Exponents are estimated from finite-size sweeps by extrapolating
 local log-log slopes to the large-n limit.
+
+The search evaluates directions through one quadratic form per state:
+[A, [A, rho]] is quadratic in the direction of a uniform A, so six
+Hermitian forms are built once, in a basis of at most 10 rank(rho) vectors,
+and each direction costs one linear combination and one eigvalsh. The
+forms hold 6 K^2 complex numbers for a basis of K vectors, 96 MB at
+K = 2^10.
 """
 from __future__ import annotations
 
@@ -15,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
@@ -23,7 +29,8 @@ from .errors import ContractViolationError, DomainError
 from .spincore import (AdditiveObservable, Operator, QuantumState, ZDiagonal,
                        _check_cap, _check_outcome_parity, additive_observable,
                        apply_additive, as_state, double_commutator, pure_state,
-                       snap_interval, trace_norm, uniform_observable)
+                       snap_interval, total_magnetization, trace_norm,
+                       uniform_observable)
 from .thermal import _log_binom
 
 SEARCH_RESOLUTION = 312
@@ -170,33 +177,86 @@ def q_functional(rho: QuantumState, a: AdditiveObservable) -> float:
 
 
 def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(rho.mat)
-    sel = w > _EIG_FLOOR
-    return w[sel], v[:, sel]
+    """rho = V diag(w) V^dagger over the weights above _EIG_FLOOR.
 
-
-def _subspace_value(weights: np.ndarray, vecs: np.ndarray,
-                    obs: AdditiveObservable) -> tuple[float, float]:
-    """(max-over-eta value, optimal eta trace) computed in a small subspace.
-
-    D = [A, [A, rho]] lives in span{V, AV, A^2 V} when rho = V diag(w) V*,
-    so its nonzero spectrum comes from a matrix of side at most 3 rank(rho).
+    The eigensolve runs on the rows and columns of rho that hold a nonzero
+    entry. That is exact: a zero row of a positive semidefinite matrix is a
+    kernel vector. The eigenvectors are scattered back to length 2^n.
     """
-    av = apply_additive(obs, vecs)
-    a2v = apply_additive(obs, av)
-    basis, _ = qr(np.hstack([vecs, av, a2v]), mode="economic")
-    p0 = basis.conj().T @ vecs
-    p1 = basis.conj().T @ av
-    p2 = basis.conj().T @ a2v
-    wp0 = p0 * weights
-    wp1 = p1 * weights
-    wp2 = p2 * weights
-    small = wp2 @ p0.conj().T + wp0 @ p2.conj().T - 2.0 * (wp1 @ p1.conj().T)
-    small = 0.5 * (small + small.conj().T)
-    lam = np.linalg.eigvalsh(small)
-    scale = 1.0 + float(np.abs(lam).max(initial=0.0))
-    pos = lam[lam > _EIG_FLOOR * scale]
-    return float(pos.sum()), float(pos.size)
+    mat = rho.mat
+    support = np.flatnonzero((mat != 0).any(axis=1))
+    w, v = np.linalg.eigh(mat[np.ix_(support, support)])
+    sel = w > _EIG_FLOOR
+    vecs = np.zeros((rho.dim, int(sel.sum())), dtype=complex)
+    vecs[support] = v[:, sel]
+    return w[sel], vecs
+
+
+@dataclass(frozen=True, eq=False)
+class _CatnessForm:
+    """D(c) = [A, [A, rho]] for A = sum_a c_a O_a, as sum_{a<=b} c_a c_b G_ab.
+
+    forms[p] is G_ab for pairs[p] = (a, b), written in an orthonormal basis
+    of a space that holds the range of every D(c), so the nonzero spectrum
+    of the combination is that of the dense D.
+    """
+
+    pairs: np.ndarray
+    forms: np.ndarray
+
+    def value(self, coeffs) -> tuple[float, float]:
+        """(max-over-eta value, optimal eta trace): the sum and the count of
+        the positive eigenvalues of D. D scales as |c|^2, so coeffs are
+        scaled to unit length first, as uniform_observable scales a direction.
+        """
+        c = np.asarray(coeffs, dtype=float)
+        nrm = np.linalg.norm(c)
+        if not np.isfinite(nrm) or nrm < 1e-12:
+            raise ContractViolationError("direction must be a nonzero vector")
+        c = c / nrm
+        mix = c[self.pairs[:, 0]] * c[self.pairs[:, 1]]
+        lam = np.linalg.eigvalsh(np.tensordot(mix, self.forms, axes=1))
+        scale = 1.0 + float(np.abs(lam).max(initial=0.0))
+        pos = lam[lam > _EIG_FLOOR * scale]
+        return float(pos.sum()), float(pos.size)
+
+
+def _catness_form(weights: np.ndarray, vecs: np.ndarray,
+                  observables) -> _CatnessForm:
+    """The form of [A, [A, rho]] over A = sum_a c_a O_a, for rho = V diag(w) V^dagger.
+
+    With S_ab = O_a O_b + O_b O_a (S_aa = O_a^2) and T_ab the same
+    symmetrization of O_a rho O_b, D(c) = sum_{a<=b} c_a c_b (S_ab rho +
+    rho S_ab - 2 T_ab). Its range lies in span{V, O_a V, S_ab V}: 10 rank(rho)
+    columns for three observables, 3 rank(rho) for one. The forms are written
+    in a basis of that span with its null directions dropped, or in the
+    standard basis when the columns outnumber the rows.
+    """
+    r = len(weights)
+    count = len(observables)
+    pairs = np.array([(a, b) for a in range(count) for b in range(a, count)])
+    ov = [apply_additive(obs, vecs) for obs in observables]
+    oov = [apply_additive(obs, np.hstack(ov)) for obs in observables]
+
+    def product(a: int, b: int) -> np.ndarray:  # O_a O_b V
+        return oov[a][:, b * r:(b + 1) * r]
+
+    blocks = [vecs, *ov, *(product(a, b) + product(b, a) if a != b else product(a, a)
+                           for a, b in pairs)]
+    if len(blocks) * r < vecs.shape[0]:
+        cols = np.hstack(blocks)
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+        basis = u[:, s > s[0] * max(cols.shape) * np.finfo(float).eps].conj().T
+        blocks = [basis @ block for block in blocks]
+    p0, x, y = blocks[0], blocks[1:count + 1], blocks[count + 1:]
+    side = p0.shape[0]
+    forms = np.empty((len(pairs), side, side), dtype=complex)
+    for p, ((a, b), yab) in enumerate(zip(pairs, y)):
+        # G_ab = H + H^dagger, so every form is exactly Hermitian
+        half = (yab * weights) @ p0.conj().T
+        half -= (2.0 if a != b else 1.0) * ((x[a] * weights) @ x[b].conj().T)
+        np.add(half, half.conj().T, out=forms[p])
+    return _CatnessForm(pairs=pairs, forms=forms)
 
 
 def _grid_directions(k: int) -> np.ndarray:
@@ -216,14 +276,19 @@ def observable_search(rho: QuantumState, resolution: int = SEARCH_RESOLUTION,
     a Nelder-Mead polish of the best grid direction, and (for pure states)
     the site-dependent observable suggested by the covariance matrix.
     Deterministic for a fixed resolution.
+
+    D(d) = [A, [A, rho]] is quadratic in the direction d of a uniform A, so
+    the six forms G_ab over the three total magnetizations are built once per
+    state (_catness_form) and each direction costs one linear combination and
+    one eigvalsh of side K <= min(10 rank(rho), 2^n). The forms take
+    6 * K^2 * 16 bytes: 96 MB for a full-rank state at n = 10.
     """
     if resolution < 2:
         raise DomainError("need at least two grid directions")
     n = rho.n
     weights, vecs = _state_factors(rho)
-
-    def value(direction) -> tuple[float, float]:
-        return _subspace_value(weights, vecs, uniform_observable(direction, n))
+    value = _catness_form(weights, vecs, [total_magnetization(axis, n)
+                                          for axis in ("x", "y", "z")]).value
 
     best_val, best_eta = -1.0, 0.0
     best_dir = np.array([1.0, 0.0, 0.0])
@@ -253,7 +318,7 @@ def observable_search(rho: QuantumState, resolution: int = SEARCH_RESOLUTION,
 
     if rho.purity > 1.0 - PURITY_PURE_TOL:
         candidate = vcm(rho).principal_observable()
-        val, eta_tr = _subspace_value(weights, vecs, candidate)
+        val, eta_tr = _catness_form(weights, vecs, [candidate]).value((1.0,))
         if val > best_val:
             best_val, best_eta, best_obs = val, eta_tr, candidate
 
@@ -265,8 +330,7 @@ def vcm(pure: QuantumState) -> VcmMatrix:
     if pure.purity <= 1.0 - PURITY_PURE_TOL:
         raise ContractViolationError(
             f"VCM needs a pure state, got purity {pure.purity:.12f}")
-    w, v = np.linalg.eigh(pure.mat)
-    psi = v[:, -1]
+    psi = _state_factors(pure)[1][:, -1]
     n = pure.n
     cols = []
     for site in range(n):

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from catlab.cli import main
+from catlab.config import load_config
+from catlab.errors import UsageError
 from catlab.indices import c_closed_form_free
 from catlab.records import read_csv
 
@@ -228,6 +230,20 @@ def test_sweep_fixture_source_rejects_gibbs_keys(tmp_path, capsys):
               "source = rho_ex2", "betah = 1.0")
     assert main(["sweep", "--config", cfg]) == 2
     capsys.readouterr()
+
+
+def test_sweep_gibbs_source_rejects_resolution(tmp_path, capsys):
+    cfg = ini(tmp_path, "s.ini", "[sweep]", "n_list = 4, 6, 8",
+              "betah = 1.0", "resolution = 1")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "resolution only applies to fixture sources" in capsys.readouterr().err
+
+
+def test_sweep_resolution_below_two_fails_at_load(tmp_path):
+    cfg = ini(tmp_path, "s.ini", "[sweep]", "n_list = 6, 8, 10",
+              "source = rho_ex2", "resolution = 1")
+    with pytest.raises(UsageError, match="resolution must be at least 2"):
+        load_config(cfg, "sweep")
 
 
 def test_sweep_fixture_source_exponent(tmp_path, capsys):

@@ -10,6 +10,8 @@ from scipy.special import comb
 import denseref
 from catlab.errors import ContractViolationError, DomainError
 from catlab.indices import (
+    _catness_form,
+    _state_factors,
     c_closed_form_free,
     expect_c,
     fit_exponent,
@@ -245,6 +247,57 @@ def test_observable_search_uses_vcm_candidate_for_pure_states():
 def test_observable_search_rejects_tiny_grids():
     with pytest.raises(DomainError):
         observable_search(free_post(4, 1.0), resolution=1)
+
+
+def _assert_matches_dense(got, rho, amat):
+    value, eta_trace = got
+    assert value == pytest.approx(denseref.optimal_catness(rho, amat), rel=1e-10)
+    lam = np.linalg.eigvalsh(denseref.double_commutator(amat, rho))
+    assert eta_trace == np.count_nonzero(lam > 1e-9 * np.abs(lam).max())
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("rank", [1, 3, None])
+def test_catness_form_matches_dense_reference(n, rank):
+    rng = np.random.default_rng(10 * n + (rank or 0))
+    rho = as_state(denseref.random_density_matrix(n, rng, rank))
+    weights, vecs = _state_factors(rho)
+    uniform = _catness_form(weights, vecs,
+                            [total_magnetization(axis, n) for axis in "xyz"])
+    for _ in range(4):
+        # non-unit directions: the form normalizes them as a uniform A does
+        d = rng.standard_normal(3) * rng.uniform(0.1, 10.0)
+        unit = d / np.linalg.norm(d)
+        amat = sum(c * denseref.magnetization(axis, n) for c, axis in zip(unit, "xyz"))
+        _assert_matches_dense(uniform.value(d), rho.mat, amat)
+    coeffs = rng.standard_normal((n, 3))
+    amat = sum(coeffs[site - 1, k] * denseref.site_operator(axis, site, n)
+               for site in range(1, n + 1) for k, axis in enumerate("xyz"))
+    single = _catness_form(weights, vecs, [additive_observable(coeffs)])
+    _assert_matches_dense(single.value((1.0,)), rho.mat, amat)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_observable_search_rho_ex1_fixture_values(n):
+    # half the q_functional 4(n-2)^2 that the oracle checks for rho_ex1
+    report = observable_search(fixture_states("rho_ex1", n))
+    assert report.c_value == pytest.approx(2.0 * (n - 2) ** 2, rel=1e-10)
+    assert report.eta_trace == n
+
+
+def test_state_factors_restrict_to_the_support():
+    rng = np.random.default_rng(7)
+    support = [1, 4, 6, 11, 13]
+    g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    g[0] *= 1e-4  # a support row with small entries must stay in the solve
+    mat = np.zeros((16, 16), dtype=complex)
+    mat[np.ix_(support, support)] = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    weights, vecs = _state_factors(as_state(mat))
+    w = np.linalg.eigvalsh(mat)
+    np.testing.assert_allclose(weights, w[w > 1e-12], rtol=1e-12)
+    off = np.setdiff1d(np.arange(16), support)
+    assert np.all(vecs[off] == 0)
+    np.testing.assert_allclose((vecs * weights) @ vecs.conj().T, mat, atol=1e-14)
 
 
 def test_fixture_state_shapes_and_purity():
