@@ -29,14 +29,14 @@ from .measure import (OutcomeDistribution, OutcomeSpec, double_projection_c,
 from .oracle import FAMILIES, FamilyResult, run_families
 from .records import (CSV_COLUMNS, append_jsonl, mix_seed, read_csv,
                       splitmix64, write_csv)
-from .spincore import (DENSE_CAP, AdditiveObservable, Operator,
-                       ParitySpectrum, PauliTerms, QuantumState, ZDiagonal,
-                       additive_observable, apply_additive, as_operator,
-                       as_state, check_state, double_commutator, herm_expm,
-                       mz_interval_projector, mz_projector, mz_values,
-                       parity_eigh, pauli_site, pauli_terms, pure_state,
-                       snap_interval, total_magnetization, trace_norm,
-                       uniform_observable, unitary_evolution)
+from .spincore import (DENSE_CAP, AdditiveObservable, Operator, PauliTerms,
+                       QuantumState, SpectralState, SymmetrySpectrum,
+                       ZDiagonal, additive_observable, apply_additive,
+                       as_operator, as_state, check_state, double_commutator,
+                       herm_expm, mz_interval_projector, mz_projector,
+                       mz_values, pauli_site, pauli_terms, pure_state,
+                       snap_interval, symmetry_eigh, total_magnetization,
+                       trace_norm, uniform_observable, unitary_evolution)
 from .thermal import (BOUNDARIES, SpinHamiltonian, ThermalParams, gibbs_state,
                       ground_state, log_free_partition_eq,
                       log_free_partition_post, log_interval_partition_post,

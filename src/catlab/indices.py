@@ -317,7 +317,7 @@ def observable_search(rho: QuantumState, resolution: int = SEARCH_RESOLUTION,
     best_obs = uniform_observable(best_dir, n)
 
     if rho.purity > 1.0 - PURITY_PURE_TOL:
-        candidate = vcm(rho).principal_observable()
+        candidate = _vcm_of(vecs[:, -1], n).principal_observable()
         val, eta_tr = _catness_form(weights, vecs, [candidate]).value((1.0,))
         if val > best_val:
             best_val, best_eta, best_obs = val, eta_tr, candidate
@@ -330,8 +330,10 @@ def vcm(pure: QuantumState) -> VcmMatrix:
     if pure.purity <= 1.0 - PURITY_PURE_TOL:
         raise ContractViolationError(
             f"VCM needs a pure state, got purity {pure.purity:.12f}")
-    psi = _state_factors(pure)[1][:, -1]
-    n = pure.n
+    return _vcm_of(_state_factors(pure)[1][:, -1], pure.n)
+
+
+def _vcm_of(psi: np.ndarray, n: int) -> VcmMatrix:
     cols = []
     for site in range(n):
         for axis in range(3):

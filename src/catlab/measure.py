@@ -70,7 +70,7 @@ def outcome_distribution(rho: QuantumState) -> OutcomeDistribution:
     """Probabilities of every parity-valid magnetization outcome."""
     n = rho.n
     vals = mz_values(n)
-    diag = np.clip(np.real(np.diagonal(rho.mat)), 0.0, None)
+    diag = np.clip(np.real(rho.diagonal()), 0.0, None)
     support = np.arange(-n, n + 1, 2)
     probs = np.zeros(support.size)
     for k, m in enumerate(support):
@@ -81,7 +81,7 @@ def outcome_distribution(rho: QuantumState) -> OutcomeDistribution:
 def outcome_probability(rho: QuantumState, spec: OutcomeSpec) -> float:
     """Probability of the given outcome for the given state."""
     mask = spec.mask(rho.n)
-    return float(np.clip(np.real(np.diagonal(rho.mat))[mask].sum(), 0.0, None))
+    return float(np.clip(np.real(rho.diagonal())[mask].sum(), 0.0, None))
 
 
 def post_state(rho: QuantumState, spec: OutcomeSpec) -> QuantumState:
@@ -92,9 +92,8 @@ def post_state(rho: QuantumState, spec: OutcomeSpec) -> QuantumState:
         raise ImpossibleOutcomeError(
             f"outcome {spec.kind}[{spec.m_lo}, {spec.m_hi}] has probability {prob:.3e}")
     # np.zeros maps untouched pages lazily, so only the kept rows cost memory
-    keep = np.ix_(mask, mask)
-    mat = np.zeros(rho.mat.shape, dtype=rho.mat.dtype)
-    mat[keep] = rho.mat[keep] / prob
+    mat = np.zeros((rho.dim, rho.dim), dtype=complex)
+    mat[np.ix_(mask, mask)] = rho.block(mask) / prob
     return as_state(mat, check=False)
 
 

@@ -16,9 +16,15 @@ Density matrices and general operators are dense arrays, which is the right
 tool up to the dense cap of twelve spins: exact eigendecompositions beat any
 sparse scheme at these sizes and keep every downstream quantity
 reproducible to machine precision. The spin Hamiltonians are real and
-commute with the global spin flip, so parity_eigh diagonalizes them as two
-real half-size blocks. Magnetization projectors are z-diagonal and are kept
-as their diagonal (ZDiagonal); their dense view is built only on request.
+commute with the global spin flip, and a ring's with its cyclic translation
+too, so symmetry_eigh diagonalizes them in one block per character of that
+group: two flip-parity blocks for an open chain, 2n momentum and parity
+blocks of about 2^n / 2n states for a ring, read from the bit-operation
+kernel with no dense matrix. A state built from such a spectrum
+(SpectralState) keeps it and its weights, and gathers its diagonal, a
+window or the dense matrix from the rows at the orbit representatives.
+Magnetization projectors are z-diagonal and are kept as their diagonal
+(ZDiagonal). Both build their dense view only on request.
 
 Basis convention, shared by all modules: computational z basis, ordered
 lexicographically with site 1 as the most significant tensor factor, and
@@ -38,6 +44,7 @@ from .errors import (CapacityError, ContractViolationError,
 DENSE_CAP = 12
 HERM_TOL = 1e-12
 PSD_FLOOR = -1e-10
+_GATHER_CHUNK = 1 << 21  # entries per gather step when a SpectralState is assembled
 
 _AXES = ("x", "y", "z")
 
@@ -250,6 +257,14 @@ class QuantumState:
         # trace(rho^2) = squared Frobenius norm for a Hermitian matrix
         return float(np.vdot(self.mat, self.mat).real)
 
+    def diagonal(self) -> np.ndarray:
+        """The diagonal entries <s|rho|s>."""
+        return np.diagonal(self.mat)
+
+    def block(self, mask: np.ndarray) -> np.ndarray:
+        """rho restricted to the basis states where mask is set."""
+        return self.mat[np.ix_(mask, mask)]
+
 
 def as_state(mat: np.ndarray, check: bool = True) -> QuantumState:
     """Wrap a density matrix, optionally verifying trace, hermiticity, PSD.
@@ -429,66 +444,210 @@ def snap_interval(n: int, m_lo: int, m_hi: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True, eq=False)
-class ParitySpectrum:
-    """Eigenpairs of a real symmetric matrix that commutes with the global flip.
+class _SymmetryGroup:
+    """The group generated by the global flip F and, on a ring, the cyclic
+    translation T, with the tables that its blocks are built from.
 
-    With A the basis states whose top bit is clear and ~A their complements
-    in the same order, the states (|a> +/- |~a>)/sqrt(2) split the matrix
-    into the even block H[A, A] + H[A, ~A] and the odd block
-    H[A, A] - H[A, ~A]; (w_plus, u_plus) and (w_minus, u_minus) are their
-    eigenpairs in that half basis.
+    Element g = 2 t + f is T^t F^f for t < length (length = n on a ring, 1
+    on an open chain). The character chi_{k,p}(g) = exp(2 pi i k t / length)
+    p^f is kept only for k <= length / 2, as row c = 2 k + (p == -1): the
+    blocks of k and length - k are complex conjugates, and mult counts both.
+    A character has a state of orbit i only when it is trivial on the
+    stabilizer of reps[i]; pos is that state's position in its block, and
+    dmax, one past the largest block, where it has none.
     """
 
-    w_plus: np.ndarray
-    u_plus: np.ndarray
-    w_minus: np.ndarray
-    u_minus: np.ndarray
+    n: int
+    length: int
+    images: np.ndarray     # (G, d): g . s
+    reps: np.ndarray       # (N,): the least state of each orbit
+    rep_index: np.ndarray  # (d,): the orbit of s, as an index into reps
+    to_rep: np.ndarray     # (d,): the g with g . s = rep(s)
+    stab: np.ndarray       # (N,): stabilizer sizes
+    chars: np.ndarray      # (C, G): chi_c(g)
+    mult: np.ndarray       # (C,): 1 for k = 0 or 2 k = length, else 2
+    pos: np.ndarray        # (C, N): block position of orbit i, or dmax
+    valid: np.ndarray      # (C, dmax): block position j holds a state
+    compose: np.ndarray    # (G, G): the index of g h^-1
+
+
+@lru_cache(maxsize=None)
+def _symmetry_group(n: int, translation: bool) -> _SymmetryGroup:
+    idx, _ = _bit_table(n)
+    length = n if translation else 1
+    shifts = [idx]
+    for _ in range(length - 1):  # T moves site s to site s + 1, site n to site 1
+        s = shifts[-1]
+        shifts.append((s >> 1) | ((s & 1) << (n - 1)))
+    images = np.stack([image for s in shifts for image in (s, s ^ (idx.size - 1))])
+    rep = images.min(axis=0)
+    reps = np.flatnonzero(rep == idx)
+    lookup = np.zeros(idx.size, dtype=np.intp)
+    lookup[reps] = np.arange(reps.size)
+    fixes = images[:, reps] == reps
+    t, f = np.divmod(np.arange(2 * length), 2)
+    k = np.arange(length // 2 + 1)
+    chars = (np.exp(2j * np.pi * np.outer(k, t) / length)[:, None, :]
+             * np.where(f, [[1.0], [-1.0]], 1.0)).reshape(-1, 2 * length)
+    trivial = np.abs(chars - 1.0) < 1e-9
+    allowed = ~(fixes.T[None] & ~trivial[:, None, :]).any(axis=2)
+    sizes = allowed.sum(axis=1)
+    dmax = int(sizes.max())
+    tables = dict(
+        images=images, reps=reps, rep_index=lookup[rep],
+        to_rep=images.argmin(axis=0), stab=fixes.sum(axis=0), chars=chars,
+        mult=np.repeat(np.where((k == 0) | (2 * k == length), 1, 2), 2),
+        pos=np.where(allowed, np.cumsum(allowed, axis=1) - 1, dmax),
+        valid=np.arange(dmax) < sizes[:, None],
+        compose=2 * ((t[:, None] - t) % length) + (f[:, None] ^ f))
+    for table in tables.values():
+        table.setflags(write=False)
+    return _SymmetryGroup(n=n, length=length, **tables)
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetrySpectrum:
+    """Eigenpairs of a symmetric Pauli sum, one block per kept character.
+
+    Row c of w and u is the block of character c of group; position j of a
+    row holds an eigenpair where group.valid[c, j] and padding above the
+    spectrum elsewhere. Each row stands for multiplicity[c] characters.
+    """
+
+    group: _SymmetryGroup
+    w: np.ndarray
+    u: np.ndarray
 
     @property
-    def w(self) -> np.ndarray:
-        """The whole spectrum: the even block's eigenvalues, then the odd block's."""
-        return np.concatenate([self.w_plus, self.w_minus])
+    def energies(self) -> np.ndarray:
+        """w with +inf on the padding."""
+        return np.where(self.group.valid, self.w, np.inf)
 
-    def density(self, p: np.ndarray) -> np.ndarray:
-        """sum_k p_k |v_k><v_k| over the eigenvectors in the order of w, as a
-        dense complex matrix; needs p >= 0 and builds two half-size blocks."""
-        half = self.u_plus.shape[0]
-        split = self.w_plus.size
-        parts = []
-        for u, q in ((self.u_plus, p[:split]), (self.u_minus, p[split:])):
-            keep = q > 0.0
-            scaled = u[:, keep] * np.sqrt(q[keep])
-            parts.append(scaled @ scaled.T)
-        even = 0.5 * (parts[0] + parts[1])
-        odd = 0.5 * (parts[0] - parts[1])
-        out = np.empty((2 * half, 2 * half), dtype=complex)
-        out[:half, :half] = even
-        out[:half, half:] = odd[:, ::-1]
-        out[half:, :half] = odd[::-1, :]
-        out[half:, half:] = even[::-1, ::-1]
+    @property
+    def multiplicity(self) -> np.ndarray:
+        """(C, 1): how many characters share each row's spectrum."""
+        return self.group.mult[:, None]
+
+
+def symmetry_eigh(terms: PauliTerms, translation: bool) -> SymmetrySpectrum:
+    """Eigensolve of a real Pauli sum blockwise over its symmetry characters.
+
+    The group is generated by the global flip and, when translation is set,
+    the cyclic translation of a ring: an open chain gets the two flip-parity
+    blocks of 2^(n-1) states, a ring 2n blocks of about 2^n / 2n. The state
+    of orbit a in the block of character chi has the coefficient
+    chi(g)* sqrt(|Stab_a| / |G|) on s = g . a, and the block entries are
+    read from the amplitudes of terms, with no dense matrix. Raises unless
+    every amplitude is real and terms commutes with each generator.
+    """
+    n = _check_cap(terms.n)
+    group = _symmetry_group(n, bool(translation))
+    if any(np.iscomplexobj(a) for a in terms.flips.values()):
+        raise ContractViolationError("symmetry_eigh needs real amplitudes")
+    dim = 1 << n
+    masks = np.fromiter(terms.flips, dtype=np.intp, count=len(terms.flips))
+    amps = np.empty((masks.size, dim))
+    for row, amp in zip(amps, terms.flips.values()):
+        row[:] = amp
+    scale = 1.0 + float(np.abs(amps).max(initial=0.0))
+    # F sends k to k ^ (2^n - 1), which reverses the basis order
+    if np.abs(amps[:, ::-1] - amps).max(initial=0.0) > HERM_TOL * scale:
+        raise ContractViolationError(
+            "symmetry_eigh input does not commute with the global flip")
+    if group.length > 1:
+        shift = group.images[2]
+        where = {int(m): i for i, m in enumerate(masks)}
+        partner = [where.get(int(m), -1) for m in shift[masks]]
+        # T H T^-1 = H: the term on T f carries amp_f moved along by T
+        moved = np.vstack([amps, np.zeros((1, dim))])[partner][:, shift]
+        if np.abs(moved - amps).max(initial=0.0) > HERM_TOL * scale:
+            raise ContractViolationError(
+                "symmetry_eigh input does not commute with the cyclic translation")
+    # <chi, rep(b)| H |chi, a> gains amp_f(a) chi(g_b)* sqrt(|Stab_rep(b)| / |Stab_a|)
+    # from b = a ^ f, where g_b . b = rep(b)
+    reps = group.reps
+    target = reps ^ masks[:, None]
+    row = group.rep_index[target]
+    entries = (group.chars.conj()[:, group.to_rep[target]]
+               * (amps[:, reps] * np.sqrt(group.stab[row] / group.stab)))
+    count, dmax = group.valid.shape
+    blocks = np.zeros((count, dmax + 1, dmax + 1), dtype=complex)
+    np.add.at(blocks, (np.arange(count)[:, None, None], group.pos[:, row],
+                       group.pos[:, None, :]), entries)
+    blocks = blocks[:, :dmax, :dmax]
+    # the padding sits above |H| <= sum of the term norms, so it sorts last
+    c, j = np.nonzero(~group.valid)
+    blocks[c, j, j] = 1.0 + np.abs(amps).max(axis=1, initial=0.0).sum()
+    w, u = np.linalg.eigh(blocks)
+    return SymmetrySpectrum(group, w, u)
+
+
+class SpectralState(QuantumState):
+    """A density matrix diagonal in the blocks of a SymmetrySpectrum, kept as
+    the spectrum and one weight per eigenvector: the sum of weights[c, j]
+    |v><v| over the eigenvectors v, each row of the spectrum counted
+    multiplicity times. The weights are >= 0 and zero on the padding.
+
+    It commutes with the group, so rho[s, s'] = rho[rep(s), g_s . s'] where
+    g_s . s = rep(s). The rows at the orbit representatives are built once
+    from the small blocks; diagonal(), block(mask) and the dense .mat (built
+    on first access only) are gathers from them.
+    """
+
+    def __init__(self, spectrum: SymmetrySpectrum, weights: np.ndarray):
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "weights", weights)
+
+    def __repr__(self) -> str:
+        return f"SpectralState(dim={self.dim})"
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.spectrum.group.n
+
+    @cached_property
+    def purity(self) -> float:
+        return float((self.spectrum.multiplicity * self.weights ** 2).sum())
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """table[g, i, r] = <a_i| rho |g . a_r> over the representatives a."""
+        group = self.spectrum.group
+        scaled = self.spectrum.u * np.sqrt(self.weights)[:, None, :]
+        count, dmax = group.valid.shape
+        # one zero row and column at dmax, which pos gives orbits with no state
+        blocks = np.zeros((count, dmax + 1, dmax + 1), dtype=complex)
+        blocks[:, :dmax, :dmax] = scaled @ scaled.conj().transpose(0, 2, 1)
+        by_orbit = blocks[np.arange(count)[:, None, None], group.pos[:, :, None],
+                          group.pos[:, None, :]]
+        # sum over every character of chi(g) times its block: a kept row
+        # whose conjugate was dropped counts twice its real part
+        table = np.tensordot(group.mult * group.chars.T, by_orbit, axes=1).real
+        root = np.sqrt(group.stab / len(group.images))
+        return table * root[:, None] * root
+
+    def _gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        group, table = self.spectrum.group, self._table
+        out = np.empty((rows.size, cols.size), dtype=complex)
+        col_g, col_i = group.to_rep[cols], group.rep_index[cols]
+        step = max(1, _GATHER_CHUNK // max(cols.size, 1))
+        for lo in range(0, rows.size, step):
+            part = rows[lo:lo + step, None]
+            out[lo:lo + step] = table[group.compose[group.to_rep[part], col_g],
+                                      group.rep_index[part], col_i]
         return out
 
+    def diagonal(self) -> np.ndarray:
+        return self._table[0].diagonal()[self.spectrum.group.rep_index]
 
-def parity_eigh(hmat: np.ndarray) -> ParitySpectrum:
-    """Real eigensolve of a flip-symmetric real symmetric matrix, blockwise.
+    def block(self, mask: np.ndarray) -> np.ndarray:
+        rows = np.flatnonzero(mask)
+        return self._gather(rows, rows)
 
-    The two half-size blocks cost a quarter of one full real eigh each;
-    raises unless hmat is real and commutes with the global spin flip.
-    """
-    hmat = np.asarray(hmat)
-    if np.iscomplexobj(hmat):
-        raise ContractViolationError("parity_eigh needs a real matrix")
-    half = hmat.shape[0] // 2
-    same = hmat[:half, :half]
-    cross = hmat[:half, half:][:, ::-1]
-    scale = 1.0 + float(np.abs(hmat).max(initial=0.0))
-    defect = max(float(np.abs(hmat[half:, half:] - same[::-1, ::-1]).max()),
-                 float(np.abs(hmat[half:, :half] - cross[::-1, :]).max()))
-    if defect > HERM_TOL * scale:
-        raise ContractViolationError("parity_eigh input does not commute with the global flip")
-    w_plus, u_plus = np.linalg.eigh(same + cross)
-    w_minus, u_minus = np.linalg.eigh(same - cross)
-    return ParitySpectrum(w_plus, u_plus, w_minus, u_minus)
+    @cached_property
+    def mat(self) -> np.ndarray:
+        every = np.arange(self.dim)
+        return self._gather(every, every)
 
 
 def _require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:

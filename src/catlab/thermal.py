@@ -18,9 +18,9 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import ContractViolationError, DomainError
-from .spincore import (Operator, PauliTerms, QuantumState, _check_cap,
-                       _check_outcome_parity, as_state, mz_values, parity_eigh,
-                       pauli_terms, snap_interval)
+from .spincore import (Operator, PauliTerms, QuantumState, SpectralState,
+                       SymmetrySpectrum, _check_cap, _check_outcome_parity,
+                       mz_values, pauli_terms, snap_interval, symmetry_eigh)
 
 BOUNDARIES = ("periodic", "open")
 
@@ -86,31 +86,37 @@ class ThermalParams:
         return self.beta * h
 
 
+def _spectrum(ham: SpinHamiltonian) -> SymmetrySpectrum:
+    _check_cap(ham.n)
+    return symmetry_eigh(ham.terms(), translation=ham.boundary == "periodic")
+
+
 def gibbs_state(ham: SpinHamiltonian, beta: float) -> QuantumState:
-    """exp(-beta H) / Z as a density matrix, from the flip-parity blocks of H."""
+    """exp(-beta H) / Z as a density matrix.
+
+    H is diagonalized in its flip and, on the ring, translation blocks
+    (symmetry_eigh), and the state keeps that spectrum and its Boltzmann
+    weights. Its dense .mat is assembled on first access only; the
+    measurement layer reads just its diagonal and the measured window.
+    """
     ThermalParams(beta)
-    n = _check_cap(ham.n)
-    dim = 1 << n
-    if beta == 0.0:
-        return as_state(np.eye(dim, dtype=complex) / dim, check=False)
-    spec = parity_eigh(ham.realize().mat)
-    w = spec.w
-    logits = -beta * (w - w.min())
-    mat = spec.density(np.exp(logits - logsumexp(logits)))
-    mat /= np.trace(mat).real
-    return as_state(mat, check=False)
+    spec = _spectrum(ham)
+    # shifted to the ground energy, every weight is at most 1 and the sum at least 1
+    weights = np.where(spec.group.valid, np.exp(-beta * (spec.w - spec.w.min())), 0.0)
+    return SpectralState(spec, weights / float((spec.multiplicity * weights).sum()))
 
 
 def ground_state(ham: SpinHamiltonian) -> QuantumState:
     """Projector onto the ground space, mixed uniformly when degenerate.
 
-    Degeneracy is judged over both flip-parity blocks together.
+    Degeneracy is judged over every symmetry block together. Like
+    gibbs_state, the state keeps the spectrum and assembles .mat on demand.
     """
-    spec = parity_eigh(ham.realize().mat)
-    w = spec.w
+    spec = _spectrum(ham)
+    w = spec.energies
     tol = 1e-9 * max(1.0, abs(float(w.min())))
     sel = w <= w.min() + tol
-    return as_state(spec.density(sel / int(sel.sum())), check=False)
+    return SpectralState(spec, sel / float((spec.multiplicity * sel).sum()))
 
 
 def _log_cosh(x: float) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import comb
 
 import denseref
+from catlab import indices
 from catlab.errors import ContractViolationError, DomainError
 from catlab.indices import (
     _catness_form,
@@ -384,3 +385,17 @@ def test_rho_ex2_search_value_closed_form():
         got = observable_search(fixture_states("rho_ex2", n), resolution=64).c_value
         want = n + n * math.sqrt(3.0 - 2.0 / n)
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_observable_search_factors_a_pure_state_once(monkeypatch):
+    # the search and its covariance candidate share one factorization
+    calls = []
+
+    def counting(rho):
+        calls.append(rho)
+        return _state_factors(rho)
+
+    monkeypatch.setattr(indices, "_state_factors", counting)
+    report = observable_search(fixture_states("cat_plus", 6))
+    assert len(calls) == 1
+    assert report.c_value == pytest.approx(2.0 * 6 * 6, rel=1e-10)

@@ -150,3 +150,17 @@ def test_double_projection_dense_matches_reference():
     post, _ = denseref.project(rho, pz)
     want = denseref.catness(post, mx, pz)
     assert double_projection_dense(n, m_x, m_z) == pytest.approx(want, rel=1e-10)
+
+
+def test_row_path_never_assembles_the_gibbs_matrix():
+    n = 8
+    rho = gibbs_state(SpinHamiltonian(n=n, h=1.0, j=(0.2, 0.1, 0.3)), 0.9)
+    spec = OutcomeSpec.exact(0)
+    prob = outcome_probability(rho, spec)
+    post = post_state(rho, spec)
+    dist = outcome_distribution(rho)
+    assert "mat" not in vars(rho)
+    want, want_prob = denseref.project(rho.mat, denseref.sector_projector(n, 0, 0))
+    assert prob == pytest.approx(want_prob, rel=1e-13)
+    assert dist.probs[n // 2] == pytest.approx(want_prob, rel=1e-13)
+    np.testing.assert_allclose(post.mat, want, atol=ATOL)

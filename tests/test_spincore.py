@@ -8,6 +8,8 @@ import denseref
 from catlab.errors import CapacityError, ContractViolationError, InvalidOutcomeError
 from catlab.spincore import (
     DENSE_CAP,
+    PauliTerms,
+    _symmetry_group,
     additive_observable,
     apply_additive,
     as_state,
@@ -16,10 +18,11 @@ from catlab.spincore import (
     mz_interval_projector,
     mz_projector,
     mz_values,
-    parity_eigh,
     pauli_site,
+    pauli_terms,
     pure_state,
     snap_interval,
+    symmetry_eigh,
     total_magnetization,
     trace_norm,
     uniform_observable,
@@ -110,11 +113,45 @@ def test_apply_additive_random_directions(seed):
                                dense @ vec, rtol=1e-11, atol=1e-11)
 
 
-def test_parity_eigh_rejects_flip_odd_or_complex_input():
+def test_symmetry_eigh_rejects_asymmetric_or_complex_input():
+    # M_z is odd under the global flip
     with pytest.raises(ContractViolationError):
-        parity_eigh(denseref.magnetization("z", 3).real)
+        symmetry_eigh(total_magnetization("z", 3).terms(), translation=False)
+    # the real H with its amplitudes stored as complex numbers
+    real = SpinHamiltonian(n=3, h=1.0).terms()
+    as_complex = PauliTerms(3, {f: np.asarray(a, dtype=complex)
+                                for f, a in real.flips.items()})
     with pytest.raises(ContractViolationError):
-        parity_eigh(denseref.hamiltonian(3, 1.0))
+        symmetry_eigh(as_complex, translation=False)
+    # site-dependent fields break the translation of a ring; the x field is
+    # flip-even, so only the translation check can catch it, as for an
+    # open chain's bonds offered as a ring
+    z_field = np.zeros((4, 3))
+    z_field[:, 2] = (0.1, 0.2, 0.3, 0.4)
+    with pytest.raises(ContractViolationError):
+        symmetry_eigh(pauli_terms(4, z_field), translation=True)
+    x_field = z_field[:, ::-1]
+    symmetry_eigh(pauli_terms(4, x_field), translation=False)
+    with pytest.raises(ContractViolationError, match="translation"):
+        symmetry_eigh(pauli_terms(4, x_field), translation=True)
+    chain = SpinHamiltonian(n=4, h=1.0, j=(0.3, 0.2, 0.1), boundary="open")
+    with pytest.raises(ContractViolationError, match="translation"):
+        symmetry_eigh(chain.terms(), translation=True)
+
+
+def test_symmetry_group_tables_on_the_six_site_ring():
+    group = _symmetry_group(6, True)
+    alt = 0b010101
+    shift, flip = group.images[2], group.images[1]
+    assert shift[alt] == flip[alt] == 0b101010
+    i = group.rep_index[alt]
+    assert group.reps[i] == alt
+    assert group.stab[i] == 6  # T^2, T^4 and T^t F for odd t fix it
+    # only the characters trivial on that stabilizer hold its orbit:
+    # (k = 0, p = +1) in row 0 and (k = 3, p = -1) in row 7
+    assert list(np.flatnonzero(group.pos[:, i] < group.valid.shape[1])) == [0, 7]
+    # the kept blocks, with their conjugates, hold every basis state once
+    assert int(group.mult @ group.valid.sum(axis=1)) == 64
 
 
 def test_uniform_observable_realizes_magnetization():

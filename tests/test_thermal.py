@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 import denseref
 from catlab.errors import DomainError
 from catlab.measure import OutcomeSpec, outcome_probability
-from catlab.spincore import parity_eigh
+from catlab.spincore import symmetry_eigh
 from catlab.thermal import (
     SpinHamiltonian,
     gibbs_state,
@@ -64,6 +64,39 @@ def test_gibbs_state_matches_expm():
             assert np.trace(rho.mat).real == pytest.approx(1.0, rel=RTOL)
 
 
+SYMMETRY_SIZES = (1, 2, 3, 4, 5, 6, 7, 8)
+
+
+def _dense_ground(hmat):
+    w, v = np.linalg.eigh(hmat)
+    vecs = v[:, w <= w[0] + 1e-9 * max(1.0, abs(w[0]))]
+    return vecs @ vecs.conj().T / vecs.shape[1]
+
+
+def test_symmetry_blocks_match_dense_reference():
+    # n = 6 holds 010101, whose translation period is 2 and for which T s = F s;
+    # the flip maps the m = +2 window onto m = -2, outside itself
+    j = (0.2, 0.1, 0.3)
+    for n in SYMMETRY_SIZES:
+        vals = denseref.mz_eigenvalues(n)
+        low = n % 2
+        windows = [vals == m for m in (low, low + 2, -low - 2) if abs(m) <= n]
+        windows.append((vals >= -1) & (vals <= 3))
+        for boundary in ("periodic", "open"):
+            ham = SpinHamiltonian(n=n, h=0.7, j=j, boundary=boundary)
+            hmat = denseref.hamiltonian(n, 0.7, j, boundary)
+            want = denseref.gibbs(hmat, 0.9)
+            rho = gibbs_state(ham, beta=0.9)
+            np.testing.assert_allclose(rho.diagonal(), np.diag(want).real, atol=1e-12)
+            for mask in windows:
+                np.testing.assert_allclose(rho.block(mask), want[np.ix_(mask, mask)],
+                                           atol=1e-12)
+            assert rho.purity == pytest.approx(np.trace(want @ want).real, rel=1e-12)
+            np.testing.assert_allclose(rho.mat, want, atol=1e-12)
+            np.testing.assert_allclose(ground_state(ham).mat, _dense_ground(hmat),
+                                       atol=1e-12)
+
+
 def test_ground_state_free_field_is_polarized():
     ham = SpinHamiltonian(n=3, h=1.0)
     rho = ground_state(ham)
@@ -79,11 +112,15 @@ def test_ground_state_degenerate_becomes_uniform_mixture():
 
 def test_ground_state_degeneracy_spans_both_parity_sectors():
     # at h = 0 the ferromagnetic ring's two aligned states are its ground
-    # space; (|up..up> +/- |down..down>)/sqrt(2) lie in opposite parity blocks
+    # space; (|up..up> +/- |down..down>)/sqrt(2) are translation invariant
+    # (momentum 0) and lie in opposite flip characters
     for n in (2, 3, 5):
         ham = SpinHamiltonian(n=n, h=0.0, j=(0.0, 0.0, 1.0))
-        spec = parity_eigh(ham.realize().mat)
-        assert spec.w_plus.min() == pytest.approx(spec.w_minus.min(), abs=1e-12)
+        spec = symmetry_eigh(ham.terms(), translation=True)
+        # rows 0 and 1 are momentum 0 with flip character +1 and -1
+        even, odd = spec.energies[0].min(), spec.energies[1].min()
+        assert even == pytest.approx(odd, abs=1e-12)
+        assert even == pytest.approx(spec.energies.min(), abs=1e-12)
         want = np.zeros((2**n, 2**n))
         want[0, 0] = want[-1, -1] = 0.5
         np.testing.assert_allclose(ground_state(ham).mat, want, atol=1e-12)
