@@ -31,16 +31,16 @@ from .records import (CSV_COLUMNS, append_jsonl, mix_seed, read_csv,
                       splitmix64, write_csv)
 from .spincore import (DENSE_CAP, AdditiveObservable, Operator, PauliTerms,
                        QuantumState, SpectralState, SymmetrySpectrum,
-                       ZDiagonal, additive_observable, apply_additive,
-                       as_operator, as_state, check_state, double_commutator,
-                       herm_expm, mz_interval_projector, mz_projector,
-                       mz_values, pauli_site, pauli_terms, pure_state,
-                       snap_interval, symmetry_eigh, total_magnetization,
-                       trace_norm, uniform_observable, unitary_evolution)
-from .thermal import (BOUNDARIES, SpinHamiltonian, ThermalParams, gibbs_state,
-                      ground_state, log_free_partition_eq,
-                      log_free_partition_post, log_interval_partition_post,
-                      sector_zz_mean, sector_zz_sq_mean, xyz_c_expansion,
+                       ZDiagonal, additive_observable, as_operator, as_state,
+                       check_state, double_commutator, herm_expm,
+                       mz_interval_projector, mz_projector, mz_values,
+                       pauli_site, pauli_terms, pure_state, snap_interval,
+                       symmetry_eigh, total_magnetization, trace_norm,
+                       uniform_observable, unitary_evolution)
+from .thermal import (BOUNDARIES, SpinHamiltonian, gibbs_state, ground_state,
+                      log_free_partition_eq, log_free_partition_post,
+                      log_interval_partition_post, sector_zz_mean,
+                      sector_zz_sq_mean, xyz_c_expansion,
                       xyz_c_expansion_jperp, zpost_xyz_expansion)
 
 __version__ = "0.1.0"

@@ -111,6 +111,23 @@ def _build_state(cfg: ExperimentConfig, n: int):
     return ham, gibbs_state(ham, cfg.beta)
 
 
+def _dense_columns(ham: SpinHamiltonian, rho, spec: OutcomeSpec) -> dict:
+    """The CSV columns read from the post-measurement state: c_dense,
+    purity and the energy and transverse moments."""
+    out = post_state(rho, spec)
+    moments = energy_moments_dense(out, ham)
+    return dict(c_dense=expect_c(out, total_magnetization("x", ham.n),
+                                 spec.projector(ham.n)),
+                purity=out.purity, e_mean=moments.mean, e_var=moments.variance,
+                mx2=transverse_moments(out)[2])
+
+
+def _purity_bound(n: int, lo: int, hi: int, betah: float) -> float:
+    """Free-spin purity bound of the window: Z_W(2 beta h) / Z_W(beta h)^2."""
+    return math.exp(log_interval_partition_post(n, lo, hi, 2.0 * betah)
+                    - 2.0 * log_interval_partition_post(n, lo, hi, betah))
+
+
 def _measured_row(cfg: ExperimentConfig, state, lo: int, hi: int,
                   start: float) -> dict:
     """One fully diagnosed record: project the built (ham, rho), then every
@@ -119,29 +136,21 @@ def _measured_row(cfg: ExperimentConfig, state, lo: int, hi: int,
     n = ham.n
     betah = math.inf if cfg.ground else cfg.beta * cfg.h
     spec = OutcomeSpec.exact(lo) if lo == hi else OutcomeSpec.interval(lo, hi)
-    prob = outcome_probability(rho, spec)
-    out = post_state(rho, spec)
-    proj = spec.projector(n)
-    c_dense = expect_c(out, total_magnetization("x", n), proj)
-    moments = energy_moments_dense(out, ham)
     row = new_row()
     row.update(
         n=n, m_lo=lo, m_hi=hi,
         beta=None if cfg.ground else cfg.beta,
         h=cfg.h, jx=cfg.j[0], jy=cfg.j[1], jz=cfg.j[2],
-        prob=prob, c_dense=c_dense, purity=out.purity,
-        e_mean=moments.mean, e_var=moments.variance,
-        mx2=transverse_moments(out)[2],
+        prob=outcome_probability(rho, spec),
         i_value=i_function(n, lo, hi),
         seed=cfg.seed,
+        **_dense_columns(ham, rho, spec),
     )
     if ham.is_free:
         row["c_closed"] = (c_closed_form_free(n, lo, betah) if lo == hi
                            else interval_c_closed(n, lo, hi, betah))
         if not cfg.ground:
-            row["purity_bound"] = math.exp(
-                log_interval_partition_post(n, lo, hi, 2.0 * betah)
-                - 2.0 * log_interval_partition_post(n, lo, hi, betah))
+            row["purity_bound"] = _purity_bound(n, lo, hi, betah)
     row["wall_ms"] = (time.perf_counter() - start) * 1e3
     return row
 
@@ -243,19 +252,10 @@ def run_interval(cfg: ExperimentConfig, args) -> int:
                           - log_free_partition_eq(n, betah)),
             c_closed=interval_c_closed(n, lo, hi, betah),
             i_value=i_function(n, lo, hi),
-            purity_bound=math.exp(
-                log_interval_partition_post(n, lo, hi, 2.0 * betah)
-                - 2.0 * log_interval_partition_post(n, lo, hi, betah)),
+            purity_bound=_purity_bound(n, lo, hi, betah),
         )
         if dense_ctx is not None:
-            ham, rho = dense_ctx
-            spec = OutcomeSpec.interval(lo, hi)
-            out = post_state(rho, spec)
-            moments = energy_moments_dense(out, ham)
-            row.update(c_dense=expect_c(out, total_magnetization("x", n),
-                                        spec.projector(n)),
-                       purity=out.purity, e_mean=moments.mean,
-                       e_var=moments.variance, mx2=transverse_moments(out)[2])
+            row.update(_dense_columns(*dense_ctx, OutcomeSpec.interval(lo, hi)))
         row["wall_ms"] = (time.perf_counter() - start) * 1e3
         rows.append(row)
         print(f"window [{lo},{hi}]: prob={row['prob']:.6g} "
@@ -334,7 +334,7 @@ def run_feasibility(cfg: ExperimentConfig, args) -> int:
 def run_oracle(cfg: ExperimentConfig, args) -> int:
     _no_rows(args, "oracle")
     results = run_families(names=cfg.families, max_n=cfg.max_n,
-                           seed=cfg.seed if cfg.seed is not None else 0,
+                           seed=cfg.seed,
                            inject_fault=cfg.inject_fault)
     failed = 0
     for res in results:

@@ -8,6 +8,7 @@ field h) or as the dimensionless betah, never both.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -83,9 +84,12 @@ def _parse_int(raw: str, key: str) -> int:
 
 def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise UsageError(f"{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{key} must be a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -141,8 +145,10 @@ def _resolve_temperature(items: dict[str, str], mode: str,
         beta = _parse_float(items["betah"], "betah") / h
     else:
         beta = None
-    if beta is not None and (beta < 0.0 or beta != beta):
-        raise UsageError("inverse temperature must be finite and nonnegative")
+    if beta is not None and (beta < 0.0 or not math.isfinite(beta)):
+        key = "beta" if "beta" in items else "betah / h"
+        raise UsageError(f"inverse temperature {key} must be finite and "
+                         f"nonnegative, got {beta}")
     if required and beta is None:
         raise UsageError(f"[{mode}] needs beta or betah")
     return beta, h
@@ -292,19 +298,10 @@ class _Builders:
 
     @staticmethod
     def feasibility(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
-        return replace(
-            cfg,
-            tau_single=_parse_float(items.get("tau_single", "470e-6"), "tau_single"),
-            n_spins=_parse_int(items.get("n_spins", "100"), "n_spins"),
-            distance_r=_parse_float(items.get("distance_r", "3e-6"), "distance_r"),
-            sensitivity=_parse_float(items.get("sensitivity", "160e-18"),
-                                     "sensitivity"),
-            duty_fraction=_parse_float(items.get("duty_fraction", "0.75"),
-                                       "duty_fraction"),
-            rounded_constants=_parse_bool(items["rounded_constants"],
-                                          "rounded_constants")
-            if "rounded_constants" in items else False,
-        )
+        # a key left out keeps the ExperimentConfig default
+        parsers = {"n_spins": _parse_int, "rounded_constants": _parse_bool}
+        return replace(cfg, **{key: parsers.get(key, _parse_float)(raw, key)
+                               for key, raw in items.items()})
 
     @staticmethod
     def oracle(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:

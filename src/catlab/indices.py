@@ -28,7 +28,7 @@ from scipy.special import logsumexp
 from .errors import ContractViolationError, DomainError
 from .spincore import (AdditiveObservable, Operator, QuantumState, ZDiagonal,
                        _check_cap, _check_outcome_parity, additive_observable,
-                       apply_additive, as_state, double_commutator, pure_state,
+                       double_commutator, pauli_terms, pure_state,
                        snap_interval, total_magnetization, trace_norm,
                        uniform_observable)
 from .thermal import _log_binom
@@ -235,8 +235,9 @@ def _catness_form(weights: np.ndarray, vecs: np.ndarray,
     r = len(weights)
     count = len(observables)
     pairs = np.array([(a, b) for a in range(count) for b in range(a, count)])
-    ov = [apply_additive(obs, vecs) for obs in observables]
-    oov = [apply_additive(obs, np.hstack(ov)) for obs in observables]
+    terms = [obs.terms() for obs in observables]
+    ov = [t.apply(vecs) for t in terms]
+    oov = [t.apply(np.hstack(ov)) for t in terms]
 
     def product(a: int, b: int) -> np.ndarray:  # O_a O_b V
         return oov[a][:, b * r:(b + 1) * r]
@@ -268,8 +269,8 @@ def _grid_directions(k: int) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-def observable_search(rho: QuantumState, resolution: int = SEARCH_RESOLUTION,
-                      refine: bool = True) -> CatnessReport:
+def observable_search(rho: QuantumState,
+                      resolution: int = SEARCH_RESOLUTION) -> CatnessReport:
     """Maximize the eta-optimal catness over additive observables.
 
     Candidates are uniform observables on a golden-spiral direction grid,
@@ -297,22 +298,21 @@ def observable_search(rho: QuantumState, resolution: int = SEARCH_RESOLUTION,
         if val > best_val:
             best_val, best_eta, best_dir = val, eta_tr, direction
 
-    if refine:
-        theta0 = math.acos(float(np.clip(best_dir[2], -1.0, 1.0)))
-        phi0 = math.atan2(float(best_dir[1]), float(best_dir[0]))
+    theta0 = math.acos(float(np.clip(best_dir[2], -1.0, 1.0)))
+    phi0 = math.atan2(float(best_dir[1]), float(best_dir[0]))
 
-        def negated(angles):
-            th, ph = angles
-            d = (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th))
-            return -value(d)[0]
+    def negated(angles):
+        th, ph = angles
+        d = (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th))
+        return -value(d)[0]
 
-        res = minimize(negated, np.array([theta0, phi0]), method="Nelder-Mead",
-                       options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 200})
-        if -res.fun > best_val:
-            th, ph = res.x
-            best_dir = np.array([math.sin(th) * math.cos(ph),
-                                 math.sin(th) * math.sin(ph), math.cos(th)])
-            best_val, best_eta = value(best_dir)
+    res = minimize(negated, np.array([theta0, phi0]), method="Nelder-Mead",
+                   options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 200})
+    if -res.fun > best_val:
+        th, ph = res.x
+        best_dir = np.array([math.sin(th) * math.cos(ph),
+                             math.sin(th) * math.sin(ph), math.cos(th)])
+        best_val, best_eta = value(best_dir)
 
     best_obs = uniform_observable(best_dir, n)
 
@@ -339,7 +339,7 @@ def _vcm_of(psi: np.ndarray, n: int) -> VcmMatrix:
         for axis in range(3):
             coeffs = np.zeros((n, 3))
             coeffs[site, axis] = 1.0
-            cols.append(apply_additive(additive_observable(coeffs), psi))
+            cols.append(pauli_terms(n, coeffs).apply(psi))
     s = np.stack(cols, axis=1)
     means = s.conj().T @ psi
     gram = s.conj().T @ s
@@ -412,6 +412,8 @@ def fixture_states(kind: str, n: int) -> QuantumState:
     if n < 2:
         raise DomainError("fixtures need n >= 2")
     _check_cap(n)
+    if kind == "rho_ex3" and n % 3:
+        raise DomainError("rho_ex3 needs n divisible by 3")
     dim = 1 << n
 
     if kind in ("cat_plus", "cat_minus"):
@@ -420,33 +422,24 @@ def fixture_states(kind: str, n: int) -> QuantumState:
         vec[dim - 1] = 1.0 if kind == "cat_plus" else -1.0
         return pure_state(vec)
 
-    if kind == "rho_ex1":
-        mat = np.zeros((dim, dim), dtype=complex)
-        for site in range(1, n + 1):
-            i0, i1 = _flipped_pair(n, site)
-            vec = np.zeros(dim, dtype=complex)
-            vec[i0] = vec[i1] = 1.0 / math.sqrt(2.0)
-            mat += np.outer(vec, vec.conj()) / n
-        return as_state(mat, check=False)
-
     if kind == "rho_ex2":
         mat = np.zeros((dim, dim), dtype=complex)
         mat[0, 0] = 0.5
         mat[dim - 1, dim - 1] = 0.5
-        return as_state(mat, check=False)
+        return QuantumState(mat)
 
-    if kind == "rho_ex3":
-        if n % 3:
-            raise DomainError("rho_ex3 needs n divisible by 3")
+    if kind in ("rho_ex1", "rho_ex3"):
+        # an equal mixture of (|s> + |comp s>)/sqrt(2) over the states s
+        if kind == "rho_ex1":
+            states = [1 << (n - site) for site in range(1, n + 1)]
+        else:
+            states = [(1 << i) - 1 for i in range(1, n // 3 + 1)]
         mat = np.zeros((dim, dim), dtype=complex)
-        count = n // 3
-        for i in range(1, count + 1):
-            block = (1 << i) - 1
-            comp = (dim - 1) ^ block
+        for s in states:
             vec = np.zeros(dim, dtype=complex)
-            vec[block] = vec[comp] = 1.0 / math.sqrt(2.0)
-            mat += np.outer(vec, vec.conj()) / count
-        return as_state(mat, check=False)
+            vec[s] = vec[(dim - 1) ^ s] = 1.0 / math.sqrt(2.0)
+            mat += np.outer(vec, vec.conj()) / len(states)
+        return QuantumState(mat)
 
     if kind == "psi1":
         vec = np.zeros(dim, dtype=complex)

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ContractViolationError, ImpossibleOutcomeError
+from .errors import ContractViolationError, DomainError, ImpossibleOutcomeError
 from .spincore import (QuantumState, ZDiagonal, _check_cap, _check_outcome_parity,
-                       _window_mask, as_state, double_commutator,
+                       _window_mask, double_commutator,
                        mz_interval_projector, mz_projector, mz_values,
                        total_magnetization)
 
@@ -91,10 +91,9 @@ def post_state(rho: QuantumState, spec: OutcomeSpec) -> QuantumState:
     if prob <= PROB_FLOOR:
         raise ImpossibleOutcomeError(
             f"outcome {spec.kind}[{spec.m_lo}, {spec.m_hi}] has probability {prob:.3e}")
-    # np.zeros maps untouched pages lazily, so only the kept rows cost memory
     mat = np.zeros((rho.dim, rho.dim), dtype=complex)
     mat[np.ix_(mask, mask)] = rho.block(mask) / prob
-    return as_state(mat, check=False)
+    return QuantumState(mat)
 
 
 def sample_outcome(dist: OutcomeDistribution, seed: int) -> int:
@@ -117,7 +116,6 @@ def double_projection_c(n: int, m_x: int, m_z: int) -> float:
     2n + (n^2 - m_z^2)(m_x^2 - n) / (n (n - 1)).
     """
     if n < 2:
-        from .errors import DomainError
         raise DomainError("two projections need at least two spins")
     _check_outcome_parity(n, m_x)
     _check_outcome_parity(n, m_z)
@@ -136,7 +134,6 @@ def double_projection_dense(n: int, m_x: int, m_z: int) -> float:
         rot = np.kron(rot, had)
     px = rot @ mz_projector(n, m_x).mat @ rot.conj().T
     rho = px / np.trace(px).real
-    state = as_state(rho, check=False)
-    post = post_state(state, OutcomeSpec.exact(m_z))
+    post = post_state(QuantumState(rho), OutcomeSpec.exact(m_z))
     c_op = double_commutator(total_magnetization("x", n), mz_projector(n, m_z))
     return float(np.einsum("ij,ji->", post.mat, c_op.mat).real)

@@ -29,10 +29,10 @@ from .measure import (OutcomeSpec, double_projection_c, double_projection_dense,
                       outcome_distribution, outcome_probability, post_state,
                       sample_outcome)
 from .records import mix_seed
-from .spincore import (additive_observable, apply_additive, as_state,
-                       double_commutator, herm_expm, mz_interval_projector,
-                       mz_projector, mz_values, pauli_site, pure_state,
-                       snap_interval, total_magnetization, uniform_observable,
+from .spincore import (QuantumState, additive_observable, double_commutator,
+                       herm_expm, mz_interval_projector, mz_projector,
+                       mz_values, pauli_site, pure_state, snap_interval,
+                       total_magnetization, uniform_observable,
                        unitary_evolution)
 from .thermal import (SpinHamiltonian, gibbs_state, log_free_partition_eq,
                       log_free_partition_post, log_interval_partition_post,
@@ -79,7 +79,7 @@ def _random_state(rng, n: int):
     dim = 1 << n
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = g @ g.conj().T
-    return as_state(mat / np.trace(mat).real, check=False)
+    return QuantumState(mat / np.trace(mat).real)
 
 
 def _random_direction(rng) -> np.ndarray:
@@ -113,7 +113,7 @@ def _fam_pauli_algebra(max_n: int, rng, ck: _Collector) -> None:
     obs = additive_observable(coeffs)
     block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
     ck.ok("matrix-free application matches the dense realization",
-          np.abs(apply_additive(obs, block) - obs.realize().mat @ block).max() < 1e-12)
+          np.abs(obs.terms().apply(block) - obs.realize().mat @ block).max() < 1e-12)
 
 
 def _fam_projector_algebra(max_n: int, rng, ck: _Collector) -> None:

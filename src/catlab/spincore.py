@@ -95,18 +95,23 @@ class PauliTerms:
     flips: dict
 
     def apply(self, block: np.ndarray) -> np.ndarray:
-        """The operator applied to a (2^n, k) block of columns."""
+        """The operator applied to a length-2^n vector or a (2^n, k) block of
+        columns; the result has the shape of the input."""
         idx, _ = _bit_table(self.n)
         block = np.asarray(block, dtype=complex)
-        out = np.zeros(block.shape, dtype=complex)
+        if block.ndim not in (1, 2) or block.shape[0] != idx.size:
+            raise ContractViolationError(
+                f"apply needs {idx.size} rows at n={self.n}, got shape {block.shape}")
+        cols = block.reshape(idx.size, -1)
+        out = np.zeros(cols.shape, dtype=complex)
         for mask, amp in self.flips.items():
             src = idx ^ mask
             # scaled in place: one large temporary per term, since fresh
             # temporaries dominated the cost on wide blocks
-            flipped = block[src]
+            flipped = cols[src]
             flipped *= amp[src, None] if np.ndim(amp) else amp
             out += flipped
-        return out
+        return out.reshape(block.shape)
 
     def dense(self) -> np.ndarray:
         """Dense matrix, real unless an amplitude is complex; O(terms * 2^n) writes."""
@@ -195,10 +200,6 @@ class Operator:
     def n(self) -> int:
         return self.dim.bit_length() - 1
 
-    @cached_property
-    def is_hermitian(self) -> bool:
-        return _is_hermitian(self.mat)
-
 
 class ZDiagonal(Operator):
     """A z-diagonal operator, such as a magnetization projector, kept as its
@@ -235,22 +236,11 @@ def as_operator(mat: np.ndarray) -> Operator:
 
 
 def _mat(op) -> np.ndarray:
-    return op.mat if isinstance(op, (Operator, QuantumState)) else np.asarray(op, dtype=complex)
+    return op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
-class QuantumState:
+class QuantumState(Operator):
     """A density matrix; purity is cached on first access."""
-
-    mat: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.dim.bit_length() - 1
 
     @cached_property
     def purity(self) -> float:
@@ -266,16 +256,14 @@ class QuantumState:
         return self.mat[np.ix_(mask, mask)]
 
 
-def as_state(mat: np.ndarray, check: bool = True) -> QuantumState:
-    """Wrap a density matrix, optionally verifying trace, hermiticity, PSD.
+def as_state(mat: np.ndarray) -> QuantumState:
+    """Wrap a density matrix, verifying trace, hermiticity and PSD.
 
     The PSD check runs a full eigensolve, so internal constructions that are
-    positive by construction pass check=False.
+    positive by construction call QuantumState directly.
     """
-    mat = np.asarray(mat, dtype=complex)
-    state = QuantumState(mat)
-    if check:
-        check_state(state)
+    state = QuantumState(np.asarray(mat, dtype=complex))
+    check_state(state)
     return state
 
 
@@ -308,11 +296,15 @@ class AdditiveObservable:
     """A sum of single-site operators, one (c_x, c_y, c_z) triple per site."""
 
     site_coeffs: np.ndarray
-    uniform: bool = False
 
     @property
     def n(self) -> int:
         return self.site_coeffs.shape[0]
+
+    @property
+    def uniform(self) -> bool:
+        """Every site carries the same triple."""
+        return bool(np.all(self.site_coeffs == self.site_coeffs[0]))
 
     def terms(self) -> PauliTerms:
         return pauli_terms(self.n, self.site_coeffs)
@@ -323,15 +315,13 @@ class AdditiveObservable:
         return Operator(self.terms().dense())
 
 
-def additive_observable(site_coeffs, uniform: bool | None = None) -> AdditiveObservable:
+def additive_observable(site_coeffs) -> AdditiveObservable:
     """Build an AdditiveObservable from an (n, 3) coefficient array."""
     coeffs = np.ascontiguousarray(np.asarray(site_coeffs, dtype=float))
     if coeffs.ndim != 2 or coeffs.shape[1] != 3 or coeffs.shape[0] < 1:
         raise ContractViolationError("site_coeffs must have shape (n, 3)")
     coeffs.setflags(write=False)
-    if uniform is None:
-        uniform = bool(np.all(coeffs == coeffs[0]))
-    return AdditiveObservable(coeffs, uniform)
+    return AdditiveObservable(coeffs)
 
 
 def total_magnetization(axis: str, n: int) -> AdditiveObservable:
@@ -340,7 +330,7 @@ def total_magnetization(axis: str, n: int) -> AdditiveObservable:
     if n < 1:
         raise ContractViolationError(f"need at least one site, got n={n}")
     triple = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}[axis]
-    return additive_observable(np.tile(triple, (n, 1)), uniform=True)
+    return additive_observable(np.tile(triple, (n, 1)))
 
 
 def uniform_observable(direction, n: int) -> AdditiveObservable:
@@ -349,7 +339,7 @@ def uniform_observable(direction, n: int) -> AdditiveObservable:
     nrm = np.linalg.norm(d)
     if not np.isfinite(nrm) or nrm < 1e-12:
         raise ContractViolationError("direction must be a nonzero vector")
-    return additive_observable(np.tile(d / nrm, (n, 1)), uniform=True)
+    return additive_observable(np.tile(d / nrm, (n, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -378,23 +368,6 @@ def mz_values(n: int) -> np.ndarray:
     return vals
 
 
-def apply_additive(obs: AdditiveObservable, block: np.ndarray) -> np.ndarray:
-    """Apply the realized observable to a (dim, k) block of column vectors.
-
-    Matrix-free through the bit-operation kernel, so the cost is
-    O(n * dim * k) instead of a dense matmul. Agrees with realize() to
-    machine precision.
-    """
-    block = np.asarray(block)
-    squeeze = block.ndim == 1
-    if squeeze:
-        block = block[:, None]
-    if block.shape[0] != 1 << obs.n:
-        raise ContractViolationError("block dimension does not match n")
-    out = obs.terms().apply(block)
-    return out[:, 0] if squeeze else out
-
-
 def _window_mask(n: int, m_lo: int, m_hi: int) -> np.ndarray:
     vals = mz_values(n)
     mask = (vals >= m_lo) & (vals <= m_hi)
@@ -408,7 +381,7 @@ def mz_projector(n: int, m: int) -> ZDiagonal:
     """Projector onto the total-magnetization sector M_z = m."""
     _check_cap(n)
     _check_outcome_parity(n, m)
-    return ZDiagonal((mz_values(n) == m).astype(float))
+    return ZDiagonal(_window_mask(n, m, m).astype(float))
 
 
 def mz_interval_projector(n: int, m_lo: int, m_hi: int) -> ZDiagonal:

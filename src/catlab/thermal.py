@@ -72,20 +72,6 @@ class SpinHamiltonian:
         return Operator(self.terms().dense())
 
 
-@dataclass(frozen=True)
-class ThermalParams:
-    """Inverse temperature; the zero-temperature limit is ground_state."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.beta) or self.beta < 0.0:
-            raise ContractViolationError(f"beta must be finite and >= 0, got {self.beta}")
-
-    def betah(self, h: float) -> float:
-        return self.beta * h
-
-
 def _spectrum(ham: SpinHamiltonian) -> SymmetrySpectrum:
     _check_cap(ham.n)
     return symmetry_eigh(ham.terms(), translation=ham.boundary == "periodic")
@@ -99,7 +85,8 @@ def gibbs_state(ham: SpinHamiltonian, beta: float) -> QuantumState:
     weights. Its dense .mat is assembled on first access only; the
     measurement layer reads just its diagonal and the measured window.
     """
-    ThermalParams(beta)
+    if not math.isfinite(beta) or beta < 0.0:
+        raise ContractViolationError(f"beta must be finite and >= 0, got {beta}")
     spec = _spectrum(ham)
     # shifted to the ground energy, every weight is at most 1 and the sum at least 1
     weights = np.where(spec.group.valid, np.exp(-beta * (spec.w - spec.w.min())), 0.0)

@@ -8,6 +8,7 @@ tests/denseref.py, which shares no code paths with the package.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -346,7 +347,8 @@ def test_criterion_12_pipeline_self_checks(tmp_path, capsys):
             [sys.executable, "-m", "catlab.cli", "sweep",
              "--config", str(sweep_cfg), "--out", str(out),
              "--workers", workers],
-            capture_output=True, text=True, timeout=540)
+            capture_output=True, text=True, timeout=540,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     identical = outputs[0] == outputs[1]

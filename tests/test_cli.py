@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -137,6 +138,24 @@ def test_config_rejects_unknown_keys_and_empty_values(tmp_path, capsys):
     cfg2 = ini(tmp_path, "d.ini", "[convert]", "n = 4", "betah =", "m = 0")
     assert main(["convert", "--config", cfg2]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode, key, lines", [
+    ("convert", "h", ("n = 4", "betah = 1.0", "h = nan", "m = 0")),
+    ("convert", "jx", ("n = 4", "betah = 1.0", "jx = inf", "m = 0")),
+    ("convert", "betah", ("n = 4", "betah = inf", "m = 0")),
+    ("interval", "betah", ("n = 10", "betah = inf", "intervals = -2:2")),
+    ("interval", "h", ("n = 10", "betah = 1.0", "h = inf", "intervals = -2:2")),
+    ("feasibility", "sensitivity", ("sensitivity = nan",)),
+    # finite inputs whose quotient beta = betah / h overflows
+    ("convert", "betah / h", ("n = 4", "betah = 1e300", "h = 1e-300", "m = 0")),
+])
+def test_config_rejects_non_finite_numbers(tmp_path, capsys, mode, key, lines):
+    cfg = ini(tmp_path, "c.ini", f"[{mode}]", *lines)
+    assert main([mode, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err and "finite" in captured.err
 
 
 def test_config_requires_matching_section(tmp_path, capsys):
@@ -362,7 +381,8 @@ def test_subprocess_entry_point_matches_in_process(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "catlab.cli", "convert", "--config", cfg,
          "--out", out],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0
     in_proc = str(tmp_path / "in.csv")
     assert main(["convert", "--config", cfg, "--out", in_proc]) == 0

@@ -11,7 +11,6 @@ from catlab.spincore import (
     PauliTerms,
     _symmetry_group,
     additive_observable,
-    apply_additive,
     as_state,
     double_commutator,
     herm_expm,
@@ -83,7 +82,7 @@ def test_site_one_is_most_significant_bit():
     assert sz3[3, 3] == pytest.approx(-1.0)
 
 
-def test_apply_additive_matches_dense_matrix():
+def test_pauli_terms_apply_matches_dense_matrix():
     rng = np.random.default_rng(7)
     n = 5
     coeffs = rng.standard_normal((n, 3))
@@ -93,13 +92,13 @@ def test_apply_additive_matches_dense_matrix():
         for k, axis in enumerate("xyz"):
             dense += coeffs[site - 1, k] * denseref.site_operator(axis, site, n)
     block = rng.standard_normal((2**n, 4)) + 1j * rng.standard_normal((2**n, 4))
-    np.testing.assert_allclose(apply_additive(obs, block), dense @ block,
+    np.testing.assert_allclose(obs.terms().apply(block), dense @ block,
                                rtol=RTOL, atol=ATOL)
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**32 - 1))
-def test_apply_additive_random_directions(seed):
+def test_pauli_terms_apply_random_directions(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     coeffs = rng.standard_normal((n, 3))
@@ -109,8 +108,31 @@ def test_apply_additive_random_directions(seed):
     for site in range(1, n + 1):
         for k, axis in enumerate("xyz"):
             dense += coeffs[site - 1, k] * denseref.site_operator(axis, site, n)
-    np.testing.assert_allclose(apply_additive(obs, vec[:, None])[:, 0],
+    np.testing.assert_allclose(obs.terms().apply(vec[:, None])[:, 0],
                                dense @ vec, rtol=1e-11, atol=1e-11)
+
+
+def test_pauli_terms_apply_takes_a_vector_or_a_block():
+    n = 3
+    rng = np.random.default_rng(11)
+    vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    site_y = np.zeros((n, 3))
+    site_y[1, 1] = 0.7
+    cases = {
+        "site z": total_magnetization("z", n).terms(),
+        "site y": pauli_terms(n, site_y),
+        "bond": pauli_terms(n, bonds=[(1, 3, (0.3, 0.2, 0.4))]),
+    }
+    for name, terms in cases.items():
+        column = terms.apply(vec[:, None])
+        assert column.shape == (2**n, 1), name
+        got = terms.apply(vec)
+        assert got.shape == (2**n,), name
+        np.testing.assert_array_equal(got, column[:, 0])
+        np.testing.assert_allclose(got, terms.dense() @ vec, rtol=RTOL, atol=ATOL)
+        for bad in (np.ones(2**n + 1), np.ones((2**(n - 1), 2)), np.ones((2**n, 2, 2))):
+            with pytest.raises(ContractViolationError):
+                terms.apply(bad)
 
 
 def test_symmetry_eigh_rejects_asymmetric_or_complex_input():

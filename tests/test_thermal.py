@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 import denseref
-from catlab.errors import DomainError
+from catlab.errors import ContractViolationError, DomainError
 from catlab.measure import OutcomeSpec, outcome_probability
 from catlab.spincore import symmetry_eigh
 from catlab.thermal import (
@@ -71,6 +71,15 @@ def _dense_ground(hmat):
     w, v = np.linalg.eigh(hmat)
     vecs = v[:, w <= w[0] + 1e-9 * max(1.0, abs(w[0]))]
     return vecs @ vecs.conj().T / vecs.shape[1]
+
+
+def test_gibbs_state_rejects_negative_or_non_finite_beta():
+    ham = SpinHamiltonian(n=4, h=1.0)
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ContractViolationError):
+            gibbs_state(ham, beta)
+    # beta = 0 is the maximally mixed state
+    np.testing.assert_allclose(gibbs_state(ham, 0.0).mat, np.eye(16) / 16, atol=1e-15)
 
 
 def test_symmetry_blocks_match_dense_reference():
