@@ -20,7 +20,7 @@ from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
 from .spincore import (QuantumState, _bit_table, double_commutator,
                        mz_projector, mz_values, total_magnetization,
                        unitary_evolution)
-from .thermal import SpinHamiltonian, gibbs_state, log_free_partition_post
+from .thermal import SpinHamiltonian, gibbs_state, log_interval_partition_post
 
 SECTOR_TOL = 1e-9
 PROB_SKIP = 1e-14
@@ -31,14 +31,15 @@ MU_BOHR_ROUNDED = 9.3e-24
 MU_ZERO_ROUNDED = 1.2e-6
 
 
-def purity_bound_free(n: int, m: int, betah: float) -> float:
+def purity_bound_free(n: int, m_lo: int, m_hi: int, betah: float) -> float:
     """Upper bound on the post-measurement purity for free spins.
 
-    The bound is the ratio of the doubled-field to squared sector partition
-    functions; it is saturated exactly at infinite temperature.
+    The bound is the ratio Z_W(2 beta h) / Z_W(beta h)^2 of the window's
+    doubled-field to squared partition functions (m_lo = m_hi for a point
+    outcome); it is saturated exactly at infinite temperature.
     """
-    return math.exp(log_free_partition_post(n, m, 2.0 * betah)
-                    - 2.0 * log_free_partition_post(n, m, betah))
+    return math.exp(log_interval_partition_post(n, m_lo, m_hi, 2.0 * betah)
+                    - 2.0 * log_interval_partition_post(n, m_lo, m_hi, betah))
 
 
 @dataclass(frozen=True)

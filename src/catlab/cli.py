@@ -122,12 +122,6 @@ def _dense_columns(ham: SpinHamiltonian, rho, spec: OutcomeSpec) -> dict:
                 mx2=transverse_moments(out)[2])
 
 
-def _purity_bound(n: int, lo: int, hi: int, betah: float) -> float:
-    """Free-spin purity bound of the window: Z_W(2 beta h) / Z_W(beta h)^2."""
-    return math.exp(log_interval_partition_post(n, lo, hi, 2.0 * betah)
-                    - 2.0 * log_interval_partition_post(n, lo, hi, betah))
-
-
 def _measured_row(cfg: ExperimentConfig, state, lo: int, hi: int,
                   start: float) -> dict:
     """One fully diagnosed record: project the built (ham, rho), then every
@@ -150,7 +144,7 @@ def _measured_row(cfg: ExperimentConfig, state, lo: int, hi: int,
         row["c_closed"] = (c_closed_form_free(n, lo, betah) if lo == hi
                            else interval_c_closed(n, lo, hi, betah))
         if not cfg.ground:
-            row["purity_bound"] = _purity_bound(n, lo, hi, betah)
+            row["purity_bound"] = purity_bound_free(n, lo, hi, betah)
     row["wall_ms"] = (time.perf_counter() - start) * 1e3
     return row
 
@@ -252,7 +246,7 @@ def run_interval(cfg: ExperimentConfig, args) -> int:
                           - log_free_partition_eq(n, betah)),
             c_closed=interval_c_closed(n, lo, hi, betah),
             i_value=i_function(n, lo, hi),
-            purity_bound=_purity_bound(n, lo, hi, betah),
+            purity_bound=purity_bound_free(n, lo, hi, betah),
         )
         if dense_ctx is not None:
             row.update(_dense_columns(*dense_ctx, OutcomeSpec.interval(lo, hi)))
@@ -305,7 +299,7 @@ def run_verify(cfg: ExperimentConfig, args) -> int:
         ("energy_variance", row["e_var"], closed.variance, 1e-10),
         ("transverse_second_moment", row["mx2"],
          n + 0.5 * (n * n - m * m) * t2, 1e-10),
-        ("purity_bound", min(purity_bound_free(n, m, betah) - row["purity"], 0.0),
+        ("purity_bound", min(purity_bound_free(n, m, m, betah) - row["purity"], 0.0),
          0.0, 1e-12),
     ]
     failed = 0

@@ -1,9 +1,12 @@
 """INI-backed experiment configuration.
 
-Each run mode reads exactly one section named after itself. Keys are
-lower_snake; unknown keys are hard errors so typos do not silently fall
-back to defaults. Temperature comes in either as beta (with an explicit
-field h) or as the dimensionless betah, never both.
+Each run mode reads exactly one section named after itself; keys outside
+the mode's allow-list `_MODE_KEYS` and empty values are hard errors, so
+typos do not silently fall back to defaults. `_PARSERS` maps every key to
+its one parser. `load_config` checks the mode's `_REQUIRED` keys, parses
+each given key once, folds jx, jy, jz into j and betah into beta = betah / h
+(never both beta and betah), then applies the mode's cross-key `_RULES`.
+Defaults live only in `ExperimentConfig`, except the two `_MODE_DEFAULTS`.
 """
 from __future__ import annotations
 
@@ -30,6 +33,12 @@ _MODE_KEYS = {
                     "duty_fraction", "rounded_constants"},
     "oracle": {"families", "inject_fault", "max_n", "seed"},
 }
+
+_REQUIRED = {"convert": ("n",), "sweep": ("n_list",), "interval": ("n", "intervals"),
+             "fit": ("input_csv",), "verify": ("n", "m")}
+
+# where the ExperimentConfig default None means "not given" to other modes
+_MODE_DEFAULTS = {"sweep": {"m": 0}, "oracle": {"seed": 0}}
 
 _GIBBS_ONLY_SWEEP_KEYS = ("beta", "betah", "h", "jx", "jy", "jz", "boundary", "m")
 _FIXTURE_ONLY_SWEEP_KEYS = ("resolution",)
@@ -82,6 +91,13 @@ def _parse_int(raw: str, key: str) -> int:
         raise UsageError(f"{key} must be an integer, got {raw!r}") from None
 
 
+def _parse_size(raw: str, key: str) -> int:
+    value = _parse_int(raw, key)
+    if value < 1:
+        raise UsageError(f"{key} must be a spin count of at least 1, got {value}")
+    return value
+
+
 def _parse_float(raw: str, key: str) -> float:
     try:
         value = float(raw)
@@ -99,17 +115,36 @@ def _parse_bool(raw: str, key: str) -> bool:
         raise UsageError(f"{key} must be a boolean, got {raw!r}") from None
 
 
-def _parse_n_list(raw: str) -> tuple[int, ...]:
+def _choice(*choices: str):
+    def parse(raw: str, key: str) -> str:
+        value = raw.strip().lower()
+        if value not in choices:
+            raise UsageError(f"{key} must be one of {sorted(choices)}, got {raw!r}")
+        return value
+    return parse
+
+
+def _parse_source(raw: str, key: str) -> str:
+    source = raw.strip().lower()
+    if source != "gibbs" and source not in FIXTURE_KINDS:
+        raise UsageError(
+            f"source must be gibbs or one of {sorted(FIXTURE_KINDS)}, got {source!r}")
+    return source
+
+
+def _parse_n_list(raw: str, key: str) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise UsageError("n_list is empty")
-    values = tuple(_parse_int(p, "n_list") for p in parts)
+    values = tuple(_parse_size(p, key) for p in parts)
     if any(b <= a for a, b in zip(values, values[1:])):
         raise UsageError(f"n_list must be strictly increasing, got {raw!r}")
+    if len(values) < 3:
+        raise UsageError("n_list needs at least three sizes to fit an exponent")
     return values
 
 
-def _parse_intervals(raw: str) -> tuple[tuple[int, int], ...]:
+def _parse_intervals(raw: str, key: str) -> tuple[tuple[int, int], ...]:
     out = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
@@ -125,33 +160,46 @@ def _parse_intervals(raw: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _parse_choice(raw: str, key: str, choices) -> str:
-    value = raw.strip().lower()
-    if value not in choices:
-        raise UsageError(f"{key} must be one of {sorted(choices)}, got {raw!r}")
-    return value
+def _parse_families(raw: str, key: str) -> tuple[str, ...] | None:
+    if raw.strip().lower() == "all":
+        return None
+    families = tuple(p.strip() for p in raw.split(",") if p.strip())
+    if not families:
+        raise UsageError("families is empty; use 'all' or a comma list")
+    return families
 
 
-def _resolve_temperature(items: dict[str, str], mode: str,
-                         required: bool) -> tuple[float | None, float]:
-    if "beta" in items and "betah" in items:
+_PARSERS = {
+    "n": _parse_size, "n_list": _parse_n_list, "intervals": _parse_intervals,
+    "families": _parse_families, "source": _parse_source,
+    "boundary": _choice(*BOUNDARIES),
+    "outcome": _choice("exact", "interval", "sampled"),
+    "on_capacity": _choice("skip", "fail"),
+    "closed_form_only": _choice("auto", "true", "false"),
+    **dict.fromkeys(("m", "m_lo", "m_hi", "shots", "seed", "resolution", "max_n",
+                     "n_spins"), _parse_int),
+    **dict.fromkeys(("beta", "betah", "h", "jx", "jy", "jz", "tau_single",
+                     "distance_r", "sensitivity", "duty_fraction"), _parse_float),
+    **dict.fromkeys(("ground", "floor", "inject_fault", "rounded_constants"),
+                    _parse_bool),
+    **dict.fromkeys(("input_csv", "value_column"), lambda raw, key: raw.strip()),
+}
+
+
+def _resolve_temperature(values: dict, mode: str) -> None:
+    """Replace betah by beta = betah / h in values and range-check beta."""
+    if "beta" in values and "betah" in values:
         raise UsageError(f"[{mode}] sets both beta and betah; pick one")
-    h = _parse_float(items["h"], "h") if "h" in items else 1.0
-    if "beta" in items:
-        beta = _parse_float(items["beta"], "beta")
-    elif "betah" in items:
+    key = "beta"
+    if "betah" in values:
+        h = values.get("h", ExperimentConfig.h)
         if h == 0.0:
             raise UsageError("betah needs a nonzero field h")
-        beta = _parse_float(items["betah"], "betah") / h
-    else:
-        beta = None
+        key, values["beta"] = "betah / h", values.pop("betah") / h
+    beta = values.get("beta")
     if beta is not None and (beta < 0.0 or not math.isfinite(beta)):
-        key = "beta" if "beta" in items else "betah / h"
         raise UsageError(f"inverse temperature {key} must be finite and "
                          f"nonnegative, got {beta}")
-    if required and beta is None:
-        raise UsageError(f"[{mode}] needs beta or betah")
-    return beta, h
 
 
 def load_config(path: str, mode: str) -> ExperimentConfig:
@@ -175,147 +223,63 @@ def load_config(path: str, mode: str) -> ExperimentConfig:
     for key, raw in items.items():
         if raw.strip() == "":
             raise UsageError(f"key {key} in [{mode}] has an empty value")
+    for key in _REQUIRED.get(mode, ()):
+        if key not in items:
+            example = ", e.g. intervals = -2:2, 0:4" if key == "intervals" else ""
+            raise UsageError(f"[{mode}] needs {key}{example}")
 
-    cfg = ExperimentConfig(mode=mode)
-    builder = getattr(_Builders, mode)
-    return builder(cfg, items)
+    values = dict(_MODE_DEFAULTS.get(mode, {}))
+    values.update((key, _PARSERS[key](raw, key)) for key, raw in items.items())
+    if {"jx", "jy", "jz"} & values.keys():
+        values["j"] = tuple(values.pop(key, default) for key, default
+                            in zip(("jx", "jy", "jz"), ExperimentConfig.j))
+    _resolve_temperature(values, mode)
+    cfg = ExperimentConfig(mode=mode, **values)
+    return _RULES[mode](cfg, items) if mode in _RULES else cfg
 
 
-class _Builders:
-    @staticmethod
-    def convert(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
-        if "n" not in items:
-            raise UsageError("[convert] needs n")
-        ground = _parse_bool(items["ground"], "ground") if "ground" in items else False
-        beta, h = _resolve_temperature(items, "convert", required=not ground)
-        outcome = _parse_choice(items.get("outcome", "exact"), "outcome",
-                                {"exact", "interval", "sampled"})
-        cfg = replace(
-            cfg,
-            n=_parse_int(items["n"], "n"),
-            beta=beta, h=h, ground=ground, outcome=outcome,
-            j=(_parse_float(items.get("jx", "0"), "jx"),
-               _parse_float(items.get("jy", "0"), "jy"),
-               _parse_float(items.get("jz", "0"), "jz")),
-            boundary=_parse_choice(items.get("boundary", "periodic"),
-                                   "boundary", set(BOUNDARIES)),
-            shots=_parse_int(items.get("shots", "1"), "shots"),
-            seed=_parse_int(items["seed"], "seed") if "seed" in items else None,
-            m=_parse_int(items["m"], "m") if "m" in items else None,
-            m_lo=_parse_int(items["m_lo"], "m_lo") if "m_lo" in items else None,
-            m_hi=_parse_int(items["m_hi"], "m_hi") if "m_hi" in items else None,
-        )
-        if outcome == "exact" and cfg.m is None:
-            raise UsageError("outcome=exact needs m")
-        if outcome == "interval" and (cfg.m_lo is None or cfg.m_hi is None):
-            raise UsageError("outcome=interval needs m_lo and m_hi")
-        if outcome == "sampled":
-            if cfg.seed is None:
-                raise UsageError("outcome=sampled needs a seed")
-            if cfg.shots < 1:
-                raise UsageError("shots must be at least one")
-        return cfg
+def _needs_temperature(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
+    if cfg.beta is None:
+        raise UsageError(f"[{cfg.mode}] needs beta or betah")
+    return cfg
 
-    @staticmethod
-    def sweep(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
-        if "n_list" not in items:
-            raise UsageError("[sweep] needs n_list")
-        n_list = _parse_n_list(items["n_list"])
-        if len(n_list) < 3:
-            raise UsageError("n_list needs at least three sizes to fit an exponent")
-        source = items.get("source", "gibbs").strip().lower()
-        if source != "gibbs" and source not in FIXTURE_KINDS:
-            raise UsageError(
-                f"source must be gibbs or one of {sorted(FIXTURE_KINDS)}, got {source!r}")
-        # only fixture sources run the observable search
-        if source == "gibbs":
-            foreign, owner = _FIXTURE_ONLY_SWEEP_KEYS, "fixture sources"
-        else:
-            foreign, owner = _GIBBS_ONLY_SWEEP_KEYS, "source=gibbs"
-        stray = [k for k in foreign if k in items]
-        if stray:
-            raise UsageError(
-                f"{', '.join(stray)} only appl{'y' if len(stray) > 1 else 'ies'} to {owner}")
-        if source == "gibbs":
-            beta, h = _resolve_temperature(items, "sweep", required=True)
-            m = _parse_int(items.get("m", "0"), "m")
-        else:
-            beta, h, m = None, 1.0, None
-        resolution = _parse_int(items.get("resolution", str(SEARCH_RESOLUTION)),
-                                "resolution")
-        if resolution < 2:
-            raise UsageError(f"resolution must be at least 2, got {resolution}")
-        return replace(
-            cfg,
-            n_list=n_list, source=source, beta=beta, h=h, m=m,
-            j=(_parse_float(items.get("jx", "0"), "jx"),
-               _parse_float(items.get("jy", "0"), "jy"),
-               _parse_float(items.get("jz", "0"), "jz")),
-            boundary=_parse_choice(items.get("boundary", "periodic"),
-                                   "boundary", set(BOUNDARIES)),
-            resolution=resolution,
-            seed=_parse_int(items["seed"], "seed") if "seed" in items else None,
-            on_capacity=_parse_choice(items.get("on_capacity", "fail"),
-                                      "on_capacity", {"skip", "fail"}),
-        )
 
-    @staticmethod
-    def interval(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
-        if "n" not in items:
-            raise UsageError("[interval] needs n")
-        if "intervals" not in items:
-            raise UsageError("[interval] needs intervals, e.g. intervals = -2:2, 0:4")
-        beta, h = _resolve_temperature(items, "interval", required=True)
-        return replace(
-            cfg,
-            n=_parse_int(items["n"], "n"),
-            beta=beta, h=h,
-            intervals=_parse_intervals(items["intervals"]),
-            closed_form_only=_parse_choice(items.get("closed_form_only", "auto"),
-                                           "closed_form_only",
-                                           {"auto", "true", "false"}),
-        )
+def _reject(items: dict[str, str], keys, owner: str) -> None:
+    stray = [k for k in keys if k in items]
+    if stray:
+        raise UsageError(
+            f"{', '.join(stray)} only appl{'y' if len(stray) > 1 else 'ies'} to {owner}")
 
-    @staticmethod
-    def fit(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
-        if "input_csv" not in items:
-            raise UsageError("[fit] needs input_csv")
-        return replace(
-            cfg,
-            input_csv=items["input_csv"].strip(),
-            value_column=items.get("value_column", "c_dense").strip(),
-            floor=_parse_bool(items["floor"], "floor") if "floor" in items else True,
-        )
 
-    @staticmethod
-    def verify(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
-        for key in ("n", "m"):
-            if key not in items:
-                raise UsageError(f"[verify] needs {key}")
-        beta, h = _resolve_temperature(items, "verify", required=True)
-        return replace(cfg, n=_parse_int(items["n"], "n"),
-                       m=_parse_int(items["m"], "m"), beta=beta, h=h)
+def _convert_rules(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
+    if cfg.ground:
+        _reject(items, ("beta", "betah"), "thermal states, not to ground = true")
+    else:
+        _needs_temperature(cfg, items)
+    if cfg.outcome == "exact" and cfg.m is None:
+        raise UsageError("outcome=exact needs m")
+    if cfg.outcome == "interval" and (cfg.m_lo is None or cfg.m_hi is None):
+        raise UsageError("outcome=interval needs m_lo and m_hi")
+    if cfg.outcome == "sampled":
+        if cfg.seed is None:
+            raise UsageError("outcome=sampled needs a seed")
+        if cfg.shots < 1:
+            raise UsageError("shots must be at least one")
+    return cfg
 
-    @staticmethod
-    def feasibility(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
-        # a key left out keeps the ExperimentConfig default
-        parsers = {"n_spins": _parse_int, "rounded_constants": _parse_bool}
-        return replace(cfg, **{key: parsers.get(key, _parse_float)(raw, key)
-                               for key, raw in items.items()})
 
-    @staticmethod
-    def oracle(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
-        families: tuple[str, ...] | None = None
-        if "families" in items and items["families"].strip().lower() != "all":
-            families = tuple(p.strip() for p in items["families"].split(",")
-                             if p.strip())
-            if not families:
-                raise UsageError("families is empty; use 'all' or a comma list")
-        return replace(
-            cfg,
-            families=families,
-            inject_fault=_parse_bool(items["inject_fault"], "inject_fault")
-            if "inject_fault" in items else False,
-            max_n=_parse_int(items.get("max_n", "8"), "max_n"),
-            seed=_parse_int(items.get("seed", "0"), "seed"),
-        )
+def _sweep_rules(cfg: ExperimentConfig, items: dict[str, str]) -> ExperimentConfig:
+    # only fixture sources run the observable search
+    if cfg.source == "gibbs":
+        _reject(items, _FIXTURE_ONLY_SWEEP_KEYS, "fixture sources")
+        _needs_temperature(cfg, items)
+    else:
+        _reject(items, _GIBBS_ONLY_SWEEP_KEYS, "source=gibbs")
+        cfg = replace(cfg, m=None)  # a fixture state has no measured outcome
+    if cfg.resolution < 2:
+        raise UsageError(f"resolution must be at least 2, got {cfg.resolution}")
+    return cfg
+
+
+_RULES = {"convert": _convert_rules, "sweep": _sweep_rules,
+          "interval": _needs_temperature, "verify": _needs_temperature}

@@ -238,7 +238,7 @@ def _fam_purity_energy(max_n: int, rng, ck: _Collector) -> None:
         ham = SpinHamiltonian(n=n, h=h)
         rho = gibbs_state(ham, betah / h)
         out = post_state(rho, OutcomeSpec.exact(0))
-        bound = purity_bound_free(n, 0, betah)
+        bound = purity_bound_free(n, 0, 0, betah)
         ck.ok(f"purity bounded at betah={betah}", out.purity <= bound + 1e-12)
         if betah == 0.0:
             ck.ok("bound saturated at infinite temperature",

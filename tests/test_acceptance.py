@@ -163,7 +163,7 @@ def test_criterion_04_purity_bound(capsys):
                 proj = denseref.sector_projector(n, m, m)
                 post, _ = denseref.project(rho, proj)
                 pur = float(np.trace(post @ post).real)
-                bound = purity_bound_free(n, m, betah)
+                bound = purity_bound_free(n, m, m, betah)
                 worst_violation = max(worst_violation, pur - bound)
                 if betah == 0.0:
                     eq_defect = max(eq_defect, abs(pur - bound))

@@ -45,10 +45,10 @@ def test_purity_bound_holds_and_saturates_at_infinite_temperature():
         for m in range(-n, n + 1, 2):
             for betah in (0.0, 0.4, 1.5):
                 post = free_post(n, betah, m)
-                bound = purity_bound_free(n, m, betah)
+                bound = purity_bound_free(n, m, m, betah)
                 assert post.purity <= bound + 1e-12
             assert free_post(n, m=m, betah=0.0).purity == pytest.approx(
-                purity_bound_free(n, m, 0.0), abs=1e-12)
+                purity_bound_free(n, m, m, 0.0), abs=1e-12)
 
 
 def test_energy_moments_closed_matches_dense():

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from catlab.cli import main
-from catlab.config import load_config
+from catlab.config import _MODE_KEYS, MODES, ExperimentConfig, load_config
 from catlab.errors import UsageError
 from catlab.indices import c_closed_form_free
 from catlab.records import read_csv
@@ -162,6 +162,110 @@ def test_config_requires_matching_section(tmp_path, capsys):
     cfg = ini(tmp_path, "c.ini", "[sweep]", "n_list = 4,6,8", "betah = 1.0")
     assert main(["convert", "--config", cfg]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode, key, lines", [
+    ("convert", "n", ("n = 0", "betah = 1.0", "m = 0")),
+    ("convert", "n", ("n = -2", "betah = 1.0", "m = 0")),
+    ("verify", "n", ("n = 0", "m = 0", "betah = 1.0")),
+    ("interval", "n", ("n = 0", "betah = 1.0", "intervals = 0:0")),
+    ("interval", "n", ("n = -4", "betah = 1.0", "intervals = 0:0",
+                       "closed_form_only = true")),
+    ("sweep", "n_list", ("n_list = 0, 2, 4", "betah = 1.0")),
+])
+def test_config_rejects_non_positive_sizes(tmp_path, capsys, mode, key, lines):
+    cfg = ini(tmp_path, "c.ini", f"[{mode}]", *lines)
+    assert main([mode, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} must be a spin count of at least 1")
+
+
+@pytest.mark.parametrize("key", ["beta", "betah"])
+def test_convert_ground_state_takes_no_temperature(tmp_path, capsys, key):
+    cfg = ini(tmp_path, "g.ini", "[convert]", "n = 4", "ground = true",
+              f"{key} = 1.0", "h = 0.5", "m = 0")
+    assert main(["convert", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{key} only applies to thermal states" in captured.err
+
+
+# Per mode: the smallest valid section and its config, then sections that
+# together give every allow-listed key a value that differs from its default.
+_MINIMAL = {
+    "convert": ({"n": "4", "betah": "1.0", "m": "0"}, dict(n=4, beta=1.0, m=0)),
+    "sweep": ({"n_list": "4, 6, 8", "betah": "1.0"},
+              dict(n_list=(4, 6, 8), beta=1.0, m=0)),
+    "interval": ({"n": "10", "betah": "1.0", "intervals": "-2:2"},
+                 dict(n=10, beta=1.0, intervals=((-2, 2),))),
+    "fit": ({"input_csv": "rows.csv"}, dict(input_csv="rows.csv")),
+    "verify": ({"n": "6", "m": "2", "betah": "1.0"}, dict(n=6, m=2, beta=1.0)),
+    "feasibility": ({}, {}),
+    "oracle": ({}, dict(seed=0)),
+}
+_FULL = {
+    "convert": [
+        ({"n": "5", "betah": "1.5", "h": "3", "jx": "0.1", "jy": "0.2", "jz": "0.3",
+          "boundary": "open", "outcome": "interval", "m": "1", "m_lo": "-3",
+          "m_hi": "3", "shots": "4", "seed": "9"},
+         dict(n=5, beta=0.5, h=3.0, j=(0.1, 0.2, 0.3), boundary="open",
+              outcome="interval", m=1, m_lo=-3, m_hi=3, shots=4, seed=9)),
+        ({"n": "5", "beta": "0.5", "m": "1"}, dict(n=5, beta=0.5, m=1)),
+        ({"n": "5", "ground": "true", "h": "0.5", "m": "1"},
+         dict(n=5, ground=True, h=0.5, m=1)),
+    ],
+    "sweep": [
+        ({"n_list": "3, 5, 7", "beta": "0.5", "h": "2", "jx": "0.1", "jy": "0.2",
+          "jz": "0.3", "boundary": "open", "m": "1", "seed": "9",
+          "on_capacity": "skip"},
+         dict(n_list=(3, 5, 7), beta=0.5, h=2.0, j=(0.1, 0.2, 0.3), boundary="open",
+              m=1, seed=9, on_capacity="skip")),
+        ({"n_list": "4, 6, 8", "source": "rho_ex1", "resolution": "64"},
+         dict(n_list=(4, 6, 8), source="rho_ex1", resolution=64)),
+    ],
+    "interval": [
+        ({"n": "40", "beta": "0.5", "h": "2", "intervals": "-2:2, 0:4",
+          "closed_form_only": "true"},
+         dict(n=40, beta=0.5, h=2.0, intervals=((-2, 2), (0, 4)),
+              closed_form_only="true")),
+    ],
+    "fit": [
+        ({"input_csv": " rows.csv ", "value_column": "purity", "floor": "no"},
+         dict(input_csv="rows.csv", value_column="purity", floor=False)),
+    ],
+    "verify": [
+        ({"n": "6", "m": "2", "beta": "0.5", "h": "2"}, dict(n=6, m=2, beta=0.5, h=2.0)),
+    ],
+    "feasibility": [
+        ({"tau_single": "1e-3", "n_spins": "50", "distance_r": "2e-6",
+          "sensitivity": "1e-16", "duty_fraction": "0.5", "rounded_constants": "on"},
+         dict(tau_single=1e-3, n_spins=50, distance_r=2e-6, sensitivity=1e-16,
+              duty_fraction=0.5, rounded_constants=True)),
+    ],
+    "oracle": [
+        ({"families": "fixtures, sampling", "inject_fault": "yes", "max_n": "6",
+          "seed": "4"},
+         dict(families=("fixtures", "sampling"), inject_fault=True, max_n=6, seed=4)),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_config_table_parses_every_key_into_its_field(tmp_path, mode):
+    def load(items):
+        lines = [f"{key} = {raw}" for key, raw in items.items()]
+        return load_config(ini(tmp_path, "t.ini", f"[{mode}]", *lines), mode)
+
+    items, fields = _MINIMAL[mode]
+    assert load(items) == ExperimentConfig(mode=mode, **fields)
+    default = ExperimentConfig(mode=mode)
+    given = set(items)
+    for items, fields in _FULL[mode]:
+        given |= set(items)
+        assert all(getattr(default, name) != value for name, value in fields.items())
+        assert load(items) == ExperimentConfig(mode=mode, **fields)
+    assert given == _MODE_KEYS[mode]
 
 
 def test_sweep_workers_agree_byte_for_byte(tmp_path, capsys):
