@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .indices import expect_c, fit_exponent, optimal_witness
+from .indices import c_closed_form_free, expect_c, fit_exponent, optimal_witness
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state)
 from .spincore import (QuantumState, _bit_table, double_commutator,
@@ -55,8 +55,7 @@ def energy_moments_free_closed(n: int, m: int, betah: float, h: float) -> Energy
     no matrix elements inside a longitudinal sector; the variance is the
     field-squared times the post-measurement second transverse moment.
     """
-    t = math.tanh(betah)
-    mx2 = n + 0.5 * (n * n - m * m) * t * t
+    mx2 = c_closed_form_free(n, m, betah) / 2
     return EnergyMoments(mean=0.0, variance=h * h * mx2)
 
 
@@ -278,11 +277,11 @@ def time_evolution_invariance(rho_post: QuantumState, ham: SpinHamiltonian,
     the drift is tabulated anyway.
     """
     n = rho_post.n
-    hmat = ham.realize().mat
+    h_op = ham.realize()
     a_obs = total_magnetization("x", n)
     # the largest entry of the realized Mx is 1, so the scale is that of H
-    comm = a_obs.terms().commutator(hmat)
-    scale = 1.0 + float(np.abs(hmat).max())
+    comm = a_obs.terms().commutator(h_op.mat)
+    scale = 1.0 + float(np.abs(h_op.mat).max())
     commutes = float(np.abs(comm).max()) <= 1e-10 * scale
     notice = "" if commutes else "hamiltonian does not commute with Mx; no invariance expected"
 
@@ -297,7 +296,7 @@ def time_evolution_invariance(rho_post: QuantumState, ham: SpinHamiltonian,
     times, values, resids = [], [], []
     for t in t_grid:
         t = float(t)
-        u = unitary_evolution(ham.realize(), t).mat
+        u = unitary_evolution(h_op, t).mat
         rho_t = QuantumState(u @ rho_post.mat @ u.conj().T)
         val = optimal_witness(rho_t, a_obs)[1]
         times.append(t)

@@ -18,7 +18,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 
 from .analysis import (FeasibilityInput, energy_moments_dense,
                        energy_moments_free_closed, feasibility_calc,
@@ -65,9 +65,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     cfg = None
     try:
-        cfg = load_config(args.config, args.mode)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+        cfg = load_config(args.config, args.mode, args.seed)
         if args.workers < 1:
             raise UsageError("--workers must be at least one")
         handler = _HANDLERS[args.mode]
@@ -288,7 +286,6 @@ def run_verify(cfg: ExperimentConfig, args) -> int:
     betah = cfg.beta * h
     row = _measured_row(cfg, _build_state(cfg, n), m, m, time.perf_counter())
     closed = energy_moments_free_closed(n, m, betah, h)
-    t2 = math.tanh(betah) ** 2
 
     checks = [
         ("sector_probability", row["prob"],
@@ -298,7 +295,7 @@ def run_verify(cfg: ExperimentConfig, args) -> int:
         ("energy_mean", row["e_mean"], 0.0, 1e-11),
         ("energy_variance", row["e_var"], closed.variance, 1e-10),
         ("transverse_second_moment", row["mx2"],
-         n + 0.5 * (n * n - m * m) * t2, 1e-10),
+         c_closed_form_free(n, m, betah) / 2, 1e-10),
         ("purity_bound", min(purity_bound_free(n, m, m, betah) - row["purity"], 0.0),
          0.0, 1e-12),
     ]
@@ -313,9 +310,8 @@ def run_verify(cfg: ExperimentConfig, args) -> int:
 
 def run_feasibility(cfg: ExperimentConfig, args) -> int:
     _no_rows(args, "feasibility")
-    inp = FeasibilityInput(tau_single=cfg.tau_single, n_spins=cfg.n_spins,
-                           distance_r=cfg.distance_r, sensitivity=cfg.sensitivity,
-                           duty_fraction=cfg.duty_fraction)
+    inp = FeasibilityInput(**{f.name: getattr(cfg, f.name)
+                              for f in fields(FeasibilityInput)})
     payload = {
         "selected": "rounded" if cfg.rounded_constants else "precise",
         "precise": asdict(feasibility_calc(inp, rounded_constants=False)),

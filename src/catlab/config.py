@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 
+from .analysis import FeasibilityInput
 from .errors import UsageError
 from .indices import FIXTURE_KINDS, SEARCH_RESOLUTION
 from .thermal import BOUNDARIES
@@ -73,11 +74,11 @@ class ExperimentConfig:
     input_csv: str | None = None
     value_column: str = "c_dense"
     floor: bool = True
-    tau_single: float = 470e-6
-    n_spins: int = 100
-    distance_r: float = 3e-6
-    sensitivity: float = 160e-18
-    duty_fraction: float = 0.75
+    tau_single: float = FeasibilityInput.tau_single
+    n_spins: int = FeasibilityInput.n_spins
+    distance_r: float = FeasibilityInput.distance_r
+    sensitivity: float = FeasibilityInput.sensitivity
+    duty_fraction: float = FeasibilityInput.duty_fraction
     rounded_constants: bool = False
     families: tuple[str, ...] | None = None
     inject_fault: bool = False
@@ -202,8 +203,9 @@ def _resolve_temperature(values: dict, mode: str) -> None:
                          f"nonnegative, got {beta}")
 
 
-def load_config(path: str, mode: str) -> ExperimentConfig:
-    """Read the [mode] section of an INI file into an ExperimentConfig."""
+def load_config(path: str, mode: str, seed: int | None = None) -> ExperimentConfig:
+    """Read the [mode] section of an INI file into an ExperimentConfig; a
+    seed given here (--seed) replaces the section's before the _RULES run."""
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}; expected one of {MODES}")
     if not os.path.exists(path):
@@ -230,6 +232,8 @@ def load_config(path: str, mode: str) -> ExperimentConfig:
 
     values = dict(_MODE_DEFAULTS.get(mode, {}))
     values.update((key, _PARSERS[key](raw, key)) for key, raw in items.items())
+    if seed is not None:
+        values["seed"] = seed
     if {"jx", "jy", "jz"} & values.keys():
         values["j"] = tuple(values.pop(key, default) for key, default
                             in zip(("jx", "jy", "jz"), ExperimentConfig.j))

@@ -23,15 +23,14 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .errors import ContractViolationError, DomainError
 from .spincore import (AdditiveObservable, Operator, QuantumState, ZDiagonal,
-                       _check_cap, _check_outcome_parity, additive_observable,
-                       double_commutator, pauli_terms, pure_state,
-                       snap_interval, total_magnetization, trace_norm,
-                       uniform_observable)
-from .thermal import _log_binom
+                       _check_cap, _check_outcome_parity, _herm_eigh,
+                       additive_observable, double_commutator, pauli_terms,
+                       pure_state, snap_interval, total_magnetization,
+                       trace_norm, uniform_observable)
+from .thermal import _log_binom, interval_r_count
 
 SEARCH_RESOLUTION = 312
 PURITY_PURE_TOL = 1e-10
@@ -63,13 +62,16 @@ class VcmMatrix:
     entries: np.ndarray
 
     @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return _herm_eigh(self.entries, "VCM")
+
+    @property
     def e_max(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[-1])
+        return float(self._eigh[0][-1])
 
     def principal_observable(self) -> AdditiveObservable:
         """Per-site-normalized observable along the top eigenvector."""
-        w, v = np.linalg.eigh(self.entries)
-        vec = v[:, -1]
+        vec = self._eigh[1][:, -1]
         # rotate the global phase so the real part carries the most weight
         s = complex((vec * vec).sum())
         if abs(s) > 1e-15:
@@ -112,13 +114,6 @@ def c_closed_form_free(n: int, m: int, betah: float) -> float:
     return 2.0 * n + (n * n - m * m) * t * t
 
 
-def interval_r_count(n: int, a: int, b: int) -> float:
-    """ln of the number of basis states with magnetization in [a, b]."""
-    lo, hi = snap_interval(n, a, b)
-    ms = np.arange(lo, hi + 1, 2)
-    return float(logsumexp(_log_binom(n, (n + ms) // 2)))
-
-
 def _edge_weights(n: int, lo: int, hi: int) -> tuple[float, float]:
     """Relative weights of the window's top and bottom magnetization rungs."""
     log_r = interval_r_count(n, lo, hi)
@@ -159,13 +154,9 @@ def optimal_witness(rho: QuantumState, a: AdditiveObservable) -> tuple[Operator,
     so the exact maximum over projectors is the positive eigenspace of D and
     the value is the sum of D's positive eigenvalues, half the trace norm.
     """
-    d_op = double_commutator(a, rho).mat
-    w, v = np.linalg.eigh(d_op)
+    w, v = _herm_eigh(double_commutator(a, rho), "[A, [A, rho]]")
     scale = 1.0 + float(np.abs(w).max(initial=0.0))
     sel = w > _EIG_FLOOR * scale
-    if not sel.any():
-        zero = np.zeros_like(d_op)
-        return Operator(zero), 0.0
     vecs = v[:, sel]
     proj = vecs @ vecs.conj().T
     return Operator(proj), float(w[sel].sum())
@@ -179,13 +170,16 @@ def q_functional(rho: QuantumState, a: AdditiveObservable) -> float:
 def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray]:
     """rho = V diag(w) V^dagger over the weights above _EIG_FLOOR.
 
-    The eigensolve runs on the rows and columns of rho that hold a nonzero
-    entry. That is exact: a zero row of a positive semidefinite matrix is a
-    kernel vector. The eigenvectors are scattered back to length 2^n.
+    The eigensolve runs on the indices where rho has a nonzero entry in the
+    row or the column. That is exact, since a zero row of a positive
+    semidefinite matrix is a kernel vector, and it keeps every nonzero entry
+    inside the block that is checked for hermiticity. The eigenvectors are
+    scattered back to length 2^n.
     """
     mat = rho.mat
-    support = np.flatnonzero((mat != 0).any(axis=1))
-    w, v = np.linalg.eigh(mat[np.ix_(support, support)])
+    nonzero = mat != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    w, v = _herm_eigh(mat[np.ix_(support, support)], "state")
     sel = w > _EIG_FLOOR
     vecs = np.zeros((rho.dim, int(sel.sum())), dtype=complex)
     vecs[support] = v[:, sel]

@@ -490,10 +490,9 @@ def _fam_sufficiency(max_n: int, rng, ck: _Collector) -> None:
                                       total_magnetization("z", n), rho, (0, 2, n))
     ck.ok("transverse witness escapes every longitudinal sector",
           max(rep.condition_residuals) <= 1e-10)
-    t2 = math.tanh(betah) ** 2
     for m, ratio in zip(rep.outcomes, rep.second_moment_ratios):
         ck.close(f"projected second moment at m={m:g}", ratio,
-                 n + 0.5 * (n * n - m * m) * t2, 1e-10)
+                 c_closed_form_free(n, m, betah) / 2, 1e-10)
     aligned = np.zeros(1 << n, dtype=complex)
     aligned[-1] = 1.0
     rep = sufficient_conditions_check(total_magnetization("x", n),

@@ -15,14 +15,19 @@ is two kernel commutators instead of three d x d matrix products.
 Density matrices and general operators are dense arrays, which is the right
 tool up to the dense cap of twelve spins: exact eigendecompositions beat any
 sparse scheme at these sizes and keep every downstream quantity
-reproducible to machine precision. The spin Hamiltonians are real and
-commute with the global spin flip, and a ring's with its cyclic translation
-too, so symmetry_eigh diagonalizes them in one block per character of that
-group: two flip-parity blocks for an open chain, 2n momentum and parity
-blocks of about 2^n / 2n states for a ring, read from the bit-operation
-kernel with no dense matrix. A state built from such a spectrum
-(SpectralState) keeps it and its weights, and gathers its diagonal, a
-window or the dense matrix from the rows at the orbit representatives.
+reproducible to machine precision. Every dense eigendecomposition, here
+and in the index layer, goes through one helper (_herm_eigh), which
+rejects a non-Hermitian input instead of reading one triangle of it; only
+the symmetry blocks below and the search forms of the index layer, both
+Hermitian by construction, call eigh themselves. The spin Hamiltonians are
+real and commute with the global spin flip, and a ring's with its cyclic
+translation too, so symmetry_eigh diagonalizes them in one block per
+character of that group: two flip-parity blocks for an open chain, 2n
+momentum and parity blocks of about 2^n / 2n states for a ring, read from
+the bit-operation kernel with no dense matrix. A state built from such a
+spectrum (SpectralState) keeps it and its weights, and gathers its
+diagonal, a window or the dense matrix from the rows at the orbit
+representatives.
 Magnetization projectors are z-diagonal and are kept as their diagonal
 (ZDiagonal). Both build their dense view only on request.
 
@@ -61,12 +66,6 @@ def _check_cap(n: int) -> int:
     if n > DENSE_CAP:
         raise CapacityError(f"n={n} exceeds the dense cap of {DENSE_CAP} spins")
     return n
-
-
-def _is_hermitian(mat: np.ndarray) -> bool:
-    """The one hermiticity test: max |M - M^dagger| within HERM_TOL of scale."""
-    scale = 1.0 + float(np.abs(mat).max(initial=0.0))
-    return float(np.abs(mat - mat.conj().T).max(initial=0.0)) <= HERM_TOL * scale
 
 
 @lru_cache(maxsize=None)
@@ -239,6 +238,17 @@ def _mat(op) -> np.ndarray:
     return op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
 
 
+def _herm_eigh(op, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a Hermitian Operator or array: the one dense eigensolve. eigh
+    reads one triangle only, so a matrix further than HERM_TOL (relative to
+    its largest entry) from Hermitian is rejected first."""
+    mat = _mat(op)
+    scale = 1.0 + float(np.abs(mat).max(initial=0.0))
+    if float(np.abs(mat - mat.conj().T).max(initial=0.0)) > HERM_TOL * scale:
+        raise ContractViolationError(f"{what} must be Hermitian")
+    return np.linalg.eigh(mat)
+
+
 class QuantumState(Operator):
     """A density matrix; purity is cached on first access."""
 
@@ -273,9 +283,7 @@ def check_state(state: QuantumState) -> None:
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > 1e-12:
         raise ContractViolationError(f"state trace {tr} is not 1")
-    if not _is_hermitian(mat):
-        raise ContractViolationError("state is not Hermitian")
-    evals = np.linalg.eigvalsh(mat)
+    evals, _ = _herm_eigh(mat, "state")
     if float(evals.min()) < PSD_FLOOR:
         raise ContractViolationError(
             f"state has eigenvalue {evals.min():.3e} below the PSD floor")
@@ -623,20 +631,13 @@ class SpectralState(QuantumState):
         return self._gather(every, every)
 
 
-def _require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
-    if not _is_hermitian(mat):
-        raise ContractViolationError(f"{what} must be Hermitian")
-    return mat
-
-
 def herm_expm(h_op, scale: float) -> Operator:
     """exp(scale * H) for Hermitian H, via full eigendecomposition.
 
     Spectral mapping is exact and the spectrum is reused elsewhere, so no
     scaling-and-squaring is involved.
     """
-    mat = _require_hermitian(_mat(h_op), "herm_expm input")
-    w, v = np.linalg.eigh(mat)
+    w, v = _herm_eigh(h_op, "herm_expm input")
     out = (v * np.exp(scale * w)) @ v.conj().T
     out = 0.5 * (out + out.conj().T)
     return Operator(out)
@@ -644,8 +645,7 @@ def herm_expm(h_op, scale: float) -> Operator:
 
 def unitary_evolution(h_op, t: float) -> Operator:
     """Propagator exp(-i H t) for Hermitian H."""
-    mat = _require_hermitian(_mat(h_op), "propagator input")
-    w, v = np.linalg.eigh(mat)
+    w, v = _herm_eigh(h_op, "propagator input")
     return Operator((v * np.exp(-1j * w * t)) @ v.conj().T)
 
 
@@ -666,5 +666,4 @@ def double_commutator(a: AdditiveObservable, x) -> Operator:
 
 def trace_norm(op) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
-    mat = _require_hermitian(_mat(op), "trace_norm input")
-    return float(np.abs(np.linalg.eigvalsh(mat)).sum())
+    return float(np.abs(_herm_eigh(op, "trace_norm input")[0]).sum())

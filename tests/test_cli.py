@@ -114,6 +114,18 @@ def test_convert_sampled_requires_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_convert_seed_flag_stands_in_for_the_seed_key(tmp_path, capsys):
+    lines = ("[convert]", "n = 4", "betah = 0.8", "outcome = sampled", "shots = 5")
+    flag = str(tmp_path / "flag.csv")
+    key = str(tmp_path / "key.csv")
+    assert main(["convert", "--config", ini(tmp_path, "a.ini", *lines),
+                 "--seed", "5", "--out", flag]) == 0
+    assert main(["convert", "--config", ini(tmp_path, "b.ini", *lines, "seed = 5"),
+                 "--out", key]) == 0
+    capsys.readouterr()
+    assert open(flag, "rb").read() == open(key, "rb").read()
+
+
 def test_convert_jsonl_carries_wall_clock(tmp_path, capsys):
     cfg = ini(tmp_path, "c.ini", "[convert]", "n = 4", "betah = 1.0", "m = 0")
     log = str(tmp_path / "log.jsonl")

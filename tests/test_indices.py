@@ -1,6 +1,8 @@
 """Macroscopicity indices: witnesses, searches, variance matrices, fits."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,12 +30,15 @@ from catlab.indices import (
 )
 from catlab.measure import OutcomeSpec, post_state
 from catlab.spincore import (
+    QuantumState,
     additive_observable,
     as_state,
+    herm_expm,
     mz_interval_projector,
     mz_projector,
     total_magnetization,
     trace_norm,
+    unitary_evolution,
 )
 from catlab.thermal import SpinHamiltonian, gibbs_state
 
@@ -399,3 +404,60 @@ def test_observable_search_factors_a_pure_state_once(monkeypatch):
     report = observable_search(fixture_states("cat_plus", 6))
     assert len(calls) == 1
     assert report.c_value == pytest.approx(2.0 * 6 * 6, rel=1e-10)
+
+
+_NON_HERMITIAN_CALLS = {
+    "herm_expm": lambda mat: herm_expm(mat, 1.0),
+    "unitary_evolution": lambda mat: unitary_evolution(mat, 1.0),
+    "trace_norm": trace_norm,
+    "as_state": as_state,
+    "optimal_witness": lambda mat: optimal_witness(QuantumState(mat),
+                                                   total_magnetization("x", 3)),
+    "observable_search": lambda mat: observable_search(QuantumState(mat)),
+}
+
+
+def _one_sided():
+    # row 2 is zero but column 2 is not
+    mat = np.diag([0.5, 0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+    mat[1, 2] = 0.4
+    return mat
+
+
+def _random_trace_one():
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    return mat / np.trace(mat)
+
+
+@pytest.mark.parametrize("make", [_random_trace_one, _one_sided],
+                         ids=["random", "one_sided"])
+@pytest.mark.parametrize("caller", sorted(_NON_HERMITIAN_CALLS))
+def test_every_dense_eigensolve_rejects_non_hermitian_input(caller, make):
+    # eigh reads one triangle, so without the check these return numbers
+    with pytest.raises(ContractViolationError, match="must be Hermitian"):
+        _NON_HERMITIAN_CALLS[caller](make())
+
+
+def test_dense_eigensolves_go_through_one_helper():
+    # the oracle is the independent cross-check and keeps its own eigvalsh
+    sites = []
+    for path in sorted(Path(indices.__file__).parent.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}"
+                func = getattr(child, "func", None)
+                if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                        and func.attr.startswith("eig")
+                        and ast.unparse(func.value) == "np.linalg"):
+                    sites.append(scope)
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(sites) == ["indices._CatnessForm.value", "spincore._herm_eigh",
+                             "spincore.symmetry_eigh"]
