@@ -62,8 +62,8 @@ def energy_moments_free_closed(n: int, m: int, betah: float, h: float) -> Energy
 def energy_moments_dense(rho: QuantumState, ham: SpinHamiltonian) -> EnergyMoments:
     """<H> and <H^2> - <H>^2 of a dense state, through the bit-operation kernel."""
     hterms = ham.terms()
-    mean = hterms.expect(rho.mat).real
-    second = (hterms @ hterms).expect(rho.mat).real
+    mean = hterms.expect(rho).real
+    second = (hterms @ hterms).expect(rho).real
     return EnergyMoments(mean=mean, variance=second - mean * mean)
 
 
@@ -72,8 +72,8 @@ def transverse_moments(rho_post: QuantumState) -> tuple[float, float, float]:
     n = rho_post.n
     mx = total_magnetization("x", n).terms()
     my = total_magnetization("y", n).terms()
-    return (mx.expect(rho_post.mat).real, my.expect(rho_post.mat).real,
-            (mx @ mx).expect(rho_post.mat).real)
+    return (mx.expect(rho_post).real, my.expect(rho_post).real,
+            (mx @ mx).expect(rho_post).real)
 
 
 def matching_equilibrium_beta(e_mean: float, n: int, h: float) -> float:
@@ -182,8 +182,7 @@ def sufficient_conditions_check(a, b, rho_pre: QuantumState, outcomes) -> Suffic
         sel = np.abs(w - target) < SECTOR_TOL
         if not sel.any():
             raise DomainError(f"{target} is not an eigenvalue of the measured observable")
-        block = np.ix_(sel, sel)
-        prob = float(np.diagonal(rho_pre.mat)[sel].real.sum())
+        prob = float(rho_pre.diagonal()[sel].real.sum())
         outs.append(target)
         probs.append(prob)
         if prob < PROB_SKIP:
@@ -191,8 +190,9 @@ def sufficient_conditions_check(a, b, rho_pre: QuantumState, outcomes) -> Suffic
             resids.append(math.nan)
             ratios.append(math.nan)
             continue
+        block = np.ix_(sel, sel)
         resids.append(float(np.linalg.norm(amat[block], axis=0).max()))
-        ratios.append(float(np.einsum("ij,ji->", rho_pre.mat[block], a2[block]).real) / prob)
+        ratios.append(float(np.einsum("ij,ji->", rho_pre.block(sel), a2[block]).real) / prob)
     return SufficiencyReport(outcomes=tuple(outs), probabilities=tuple(probs),
                              condition_residuals=tuple(resids),
                              second_moment_ratios=tuple(ratios),
@@ -243,7 +243,7 @@ def averaged_identity_check(rho_pre: QuantumState) -> AveragedIdentityReport:
     sectors = mz_values(n)
     pinched = np.where(sectors[:, None] == sectors[None, :], rho_pre.mat, 0.0)
     mx = a_obs.terms()
-    rhs = 2.0 * (mx @ mx).expect(pinched).real
+    rhs = 2.0 * (mx @ mx).expect(QuantumState(pinched)).real
     return AveragedIdentityReport(averaged_c=lhs, pinched_value=rhs,
                                   residual=abs(lhs - rhs), skipped=tuple(skipped))
 
@@ -285,12 +285,10 @@ def time_evolution_invariance(rho_post: QuantumState, ham: SpinHamiltonian,
     commutes = float(np.abs(comm).max()) <= 1e-10 * scale
     notice = "" if commutes else "hamiltonian does not commute with Mx; no invariance expected"
 
-    sectors = mz_values(n)
-    mass = np.clip(np.diag(rho_post.mat).real, 0.0, None)
-    occupied = sorted(int(m) for m, p in zip(sectors, mass) if p > 1e-12)
-    if not occupied:
+    occupied = mz_values(n)[rho_post.diagonal().real > 1e-12]
+    if not occupied.size:
         raise ContractViolationError("state has no support on any sector")
-    window = (occupied[0], occupied[-1])
+    window = (int(occupied.min()), int(occupied.max()))
 
     base = optimal_witness(rho_post, a_obs)[1]
     times, values, resids = [], [], []

@@ -96,8 +96,8 @@ def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
             raise ContractViolationError("expect_c dimension mismatch")
         at, et = a.terms(), eta.terms()
         ae = at @ et
-        val = ((at @ ae).expect(rho.mat) - 2.0 * (ae @ at).expect(rho.mat)
-               + (et @ (at @ at)).expect(rho.mat))
+        val = ((at @ ae).expect(rho) - 2.0 * (ae @ at).expect(rho)
+               + (et @ (at @ at)).expect(rho))
     else:
         c_op = double_commutator(a, eta)
         val = complex(np.einsum("ij,ji->", rho.mat, c_op.mat))

@@ -92,7 +92,8 @@ def post_state(rho: QuantumState, spec: OutcomeSpec) -> QuantumState:
         raise ImpossibleOutcomeError(
             f"outcome {spec.kind}[{spec.m_lo}, {spec.m_hi}] has probability {prob:.3e}")
     mat = np.zeros((rho.dim, rho.dim), dtype=complex)
-    mat[np.ix_(mask, mask)] = rho.block(mask) / prob
+    # times the reciprocal, which is how numpy divides a complex block
+    mat[np.ix_(mask, mask)] = rho.block(mask) * (1.0 / prob)
     return QuantumState(mat)
 
 

@@ -24,10 +24,11 @@ real and commute with the global spin flip, and a ring's with its cyclic
 translation too, so symmetry_eigh diagonalizes them in one block per
 character of that group: two flip-parity blocks for an open chain, 2n
 momentum and parity blocks of about 2^n / 2n states for a ring, read from
-the bit-operation kernel with no dense matrix. A state built from such a
-spectrum (SpectralState) keeps it and its weights, and gathers its
-diagonal, a window or the dense matrix from the rows at the orbit
-representatives.
+the bit-operation kernel with no dense matrix. Every read of a state (its
+diagonal, a window, a kernel trace, the dense matrix) goes through
+QuantumState.entries(rows, cols); a state built from such a spectrum
+(SpectralState) keeps it and its weights and gathers entries from the rows
+at the orbit representatives.
 Magnetization projectors are z-diagonal and are kept as their diagonal
 (ZDiagonal). Both build their dense view only on request.
 
@@ -141,12 +142,14 @@ class PauliTerms:
         out -= self.apply(np.ascontiguousarray(mat.conj().T)).conj().T
         return out
 
-    def expect(self, mat: np.ndarray) -> complex:
-        """Tr[mat @ T], reading mat only where T has entries."""
+    def expect(self, rho: QuantumState) -> complex:
+        """Tr[rho T], reading rho only where T has entries."""
         idx, _ = _bit_table(self.n)
+        if rho.dim != idx.size:
+            raise ContractViolationError(f"expect at n={self.n} got a state of dim {rho.dim}")
         total = 0j
         for mask, amp in self.flips.items():
-            entries = mat[idx, idx ^ mask]
+            entries = rho.entries(idx, idx ^ mask)
             total += complex(entries @ amp if np.ndim(amp) else amp * entries.sum())
         return total
 
@@ -238,39 +241,45 @@ def _mat(op) -> np.ndarray:
     return op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
 
 
-def _herm_eigh(op, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a Hermitian Operator or array: the one dense eigensolve. eigh
-    reads one triangle only, so a matrix further than HERM_TOL (relative to
-    its largest entry) from Hermitian is rejected first."""
+def _herm_eigh(op, what: str, _values_only: bool = False):
+    """eigh, or eigvalsh with _values_only, of a Hermitian Operator or array:
+    the one dense eigensolve. Both read one triangle only, so a matrix further
+    than HERM_TOL (relative to its largest entry) from Hermitian is rejected."""
     mat = _mat(op)
     scale = 1.0 + float(np.abs(mat).max(initial=0.0))
     if float(np.abs(mat - mat.conj().T).max(initial=0.0)) > HERM_TOL * scale:
         raise ContractViolationError(f"{what} must be Hermitian")
-    return np.linalg.eigh(mat)
+    return np.linalg.eigvalsh(mat) if _values_only else np.linalg.eigh(mat)
 
 
 class QuantumState(Operator):
-    """A density matrix; purity is cached on first access."""
+    """A density matrix, read through entries(); purity is cached on first access."""
 
     @cached_property
     def purity(self) -> float:
         # trace(rho^2) = squared Frobenius norm for a Hermitian matrix
         return float(np.vdot(self.mat, self.mat).real)
 
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """rho[rows, cols], with the index arrays broadcast as numpy does."""
+        return self.mat[rows, cols]
+
     def diagonal(self) -> np.ndarray:
         """The diagonal entries <s|rho|s>."""
-        return np.diagonal(self.mat)
+        idx = np.arange(self.dim)
+        return self.entries(idx, idx)
 
     def block(self, mask: np.ndarray) -> np.ndarray:
         """rho restricted to the basis states where mask is set."""
-        return self.mat[np.ix_(mask, mask)]
+        rows = np.flatnonzero(mask)
+        return self.entries(rows[:, None], rows)
 
 
 def as_state(mat: np.ndarray) -> QuantumState:
     """Wrap a density matrix, verifying trace, hermiticity and PSD.
 
-    The PSD check runs a full eigensolve, so internal constructions that are
-    positive by construction call QuantumState directly.
+    The PSD check runs a dense eigenvalue solve, so internal constructions
+    that are positive by construction call QuantumState directly.
     """
     state = QuantumState(np.asarray(mat, dtype=complex))
     check_state(state)
@@ -283,7 +292,7 @@ def check_state(state: QuantumState) -> None:
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > 1e-12:
         raise ContractViolationError(f"state trace {tr} is not 1")
-    evals, _ = _herm_eigh(mat, "state")
+    evals = _herm_eigh(mat, "state", _values_only=True)
     if float(evals.min()) < PSD_FLOOR:
         raise ContractViolationError(
             f"state has eigenvalue {evals.min():.3e} below the PSD floor")
@@ -571,8 +580,8 @@ class SpectralState(QuantumState):
 
     It commutes with the group, so rho[s, s'] = rho[rep(s), g_s . s'] where
     g_s . s = rep(s). The rows at the orbit representatives are built once
-    from the small blocks; diagonal(), block(mask) and the dense .mat (built
-    on first access only) are gathers from them.
+    from the small blocks, and entries() gathers from them; every other read,
+    the dense .mat (built on first access only) included, goes through it.
     """
 
     def __init__(self, spectrum: SymmetrySpectrum, weights: np.ndarray):
@@ -607,28 +616,20 @@ class SpectralState(QuantumState):
         root = np.sqrt(group.stab / len(group.images))
         return table * root[:, None] * root
 
-    def _gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        group, table = self.spectrum.group, self._table
-        out = np.empty((rows.size, cols.size), dtype=complex)
-        col_g, col_i = group.to_rep[cols], group.rep_index[cols]
-        step = max(1, _GATHER_CHUNK // max(cols.size, 1))
-        for lo in range(0, rows.size, step):
-            part = rows[lo:lo + step, None]
-            out[lo:lo + step] = table[group.compose[group.to_rep[part], col_g],
-                                      group.rep_index[part], col_i]
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        return self._table[0].diagonal()[self.spectrum.group.rep_index]
-
-    def block(self, mask: np.ndarray) -> np.ndarray:
-        rows = np.flatnonzero(mask)
-        return self._gather(rows, rows)
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """rho[rows, cols] read from the table, as real numbers."""
+        group = self.spectrum.group
+        return self._table[group.compose[group.to_rep[rows], group.to_rep[cols]],
+                           group.rep_index[rows], group.rep_index[cols]]
 
     @cached_property
     def mat(self) -> np.ndarray:
         every = np.arange(self.dim)
-        return self._gather(every, every)
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        step = max(1, _GATHER_CHUNK // self.dim)
+        for lo in range(0, self.dim, step):
+            out[lo:lo + step] = self.entries(every[lo:lo + step, None], every)
+        return out
 
 
 def herm_expm(h_op, scale: float) -> Operator:
@@ -666,4 +667,4 @@ def double_commutator(a: AdditiveObservable, x) -> Operator:
 
 def trace_norm(op) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
-    return float(np.abs(_herm_eigh(op, "trace_norm input")[0]).sum())
+    return float(np.abs(_herm_eigh(op, "trace_norm input", _values_only=True)).sum())

@@ -62,6 +62,14 @@ def test_energy_moments_closed_matches_dense():
         assert dense.variance == pytest.approx(closed.variance, rel=RTOL)
 
 
+def test_energy_moments_reject_a_state_of_another_size():
+    # a smaller H read a corner of the larger state; a larger H ran off its end
+    for n_state, n_ham in ((6, 4), (4, 6)):
+        post = free_post(n_state, 1.0, 0)
+        with pytest.raises(ContractViolationError, match="state of dim"):
+            energy_moments_dense(post, SpinHamiltonian(n=n_ham, h=1.0))
+
+
 def test_energy_variance_closed_form_value():
     n, m, betah = 6, 2, 0.9
     t = math.tanh(betah)

@@ -1,11 +1,16 @@
 """Outcome distributions, post-measurement states, and sampling."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import denseref
+from catlab.analysis import (energy_moments_dense, sufficient_conditions_check,
+                             transverse_moments)
 from catlab.errors import ImpossibleOutcomeError, InvalidOutcomeError
+from catlab.indices import expect_c
 from catlab.measure import (
     OutcomeSpec,
     double_projection_c,
@@ -15,7 +20,8 @@ from catlab.measure import (
     post_state,
     sample_outcome,
 )
-from catlab.spincore import as_state, pure_state
+from catlab.spincore import (QuantumState, as_state, mz_projector, pure_state,
+                             total_magnetization)
 from catlab.thermal import SpinHamiltonian, gibbs_state
 
 ATOL = 1e-12
@@ -164,3 +170,32 @@ def test_row_path_never_assembles_the_gibbs_matrix():
     assert prob == pytest.approx(want_prob, rel=1e-13)
     assert dist.probs[n // 2] == pytest.approx(want_prob, rel=1e-13)
     np.testing.assert_allclose(post.mat, want, atol=ATOL)
+
+
+_XYZ8 = SpinHamiltonian(n=8, h=1.0, j=(0.2, 0.1, 0.3))
+_MX8, _MZ8 = total_magnetization("x", 8), total_magnetization("z", 8)
+
+
+def _sufficiency(rho):
+    report = sufficient_conditions_check(_MX8, _MZ8, rho, (0, 2, -4))
+    return (*report.probabilities, *report.condition_residuals,
+            *report.second_moment_ratios)
+
+
+_KERNEL_READS = {
+    "energy_moments_dense": lambda rho: astuple(energy_moments_dense(rho, _XYZ8)),
+    "transverse_moments": transverse_moments,
+    "expect_c": lambda rho: expect_c(rho, _MX8, mz_projector(8, 0)),
+    "outcome_distribution": lambda rho: outcome_distribution(rho).probs,
+    "sufficient_conditions_check": _sufficiency,
+}
+
+
+@pytest.mark.parametrize("read", sorted(_KERNEL_READS))
+def test_kernel_reads_never_assemble_the_gibbs_matrix(read):
+    rho = gibbs_state(_XYZ8, 0.9)
+    got = _KERNEL_READS[read](rho)
+    assert "mat" not in vars(rho)
+    want = _KERNEL_READS[read](QuantumState(denseref.gibbs(denseref.hamiltonian(
+        8, 1.0, (0.2, 0.1, 0.3)), 0.9)))
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)

@@ -1,10 +1,14 @@
 """Operator algebra, projectors, and spectral exponentials."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import denseref
+from catlab import spincore
 from catlab.errors import CapacityError, ContractViolationError, InvalidOutcomeError
 from catlab.spincore import (
     DENSE_CAP,
@@ -320,6 +324,41 @@ def test_trace_norm_matches_singular_values():
     g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     hmat = (g + g.conj().T) / 2.0
     assert trace_norm(hmat) == pytest.approx(denseref.trace_norm(hmat), rel=1e-12)
+
+
+def test_eigenvalue_checks_skip_the_eigenvectors(monkeypatch):
+    rho = denseref.random_density_matrix(4, np.random.default_rng(5))
+    herm = rho - np.eye(16) / 16.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh computes eigenvectors that are not read")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    np.testing.assert_allclose(as_state(rho).mat, rho, atol=0)
+    with pytest.raises(ContractViolationError, match="PSD floor"):
+        as_state(np.diag([1.1, -0.1]))
+    assert trace_norm(herm) == pytest.approx(denseref.trace_norm(herm), rel=1e-12)
+
+
+def test_no_caller_reads_a_state_through_its_dense_matrix():
+    # spincore implements the reads, and the oracle is the independent cross-check
+    def is_mat(node):
+        return isinstance(node, ast.Attribute) and node.attr == "mat"
+
+    found = []
+    for path in sorted(Path(spincore.__file__).parent.glob("*.py")):
+        if path.name in ("spincore.py", "oracle.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            args = [*node.args, *(k.value for k in node.keywords)]
+            on_mat = any(map(is_mat, args))
+            if ((node.func.attr == "expect" and on_mat)
+                    or (ast.unparse(node.func) in ("np.diag", "np.diagonal") and on_mat)
+                    or (node.func.attr == "diagonal" and is_mat(node.func.value))):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
 
 
 def test_as_state_validates_input():

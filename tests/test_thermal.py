@@ -100,6 +100,13 @@ def test_symmetry_blocks_match_dense_reference():
             for mask in windows:
                 np.testing.assert_allclose(rho.block(mask), want[np.ix_(mask, mask)],
                                            atol=1e-12)
+            rows, cols = np.random.default_rng(n).integers(0, 2**n, (2, 40))
+            np.testing.assert_allclose(rho.entries(rows, cols), want[rows, cols], atol=1e-12)
+            np.testing.assert_allclose(rho.entries(rows[:7, None], cols),
+                                       want[np.ix_(rows[:7], cols)], atol=1e-12)
+            empty = np.zeros(0, dtype=np.intp)
+            assert rho.entries(empty, empty).shape == (0,)
+            assert rho.entries(empty[:, None], cols).shape == (0, 40)
             assert rho.purity == pytest.approx(np.trace(want @ want).real, rel=1e-12)
             np.testing.assert_allclose(rho.mat, want, atol=1e-12)
             np.testing.assert_allclose(ground_state(ham).mat, _dense_ground(hmat),
