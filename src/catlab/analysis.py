@@ -17,7 +17,7 @@ from .errors import ContractViolationError, DomainError
 from .indices import c_closed_form_free, expect_c, fit_exponent, optimal_witness
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state)
-from .spincore import (QuantumState, _bit_table, double_commutator,
+from .spincore import (QuantumState, WindowState, _bit_table, double_commutator,
                        mz_projector, mz_values, total_magnetization,
                        unitary_evolution)
 from .thermal import SpinHamiltonian, gibbs_state, log_interval_partition_post
@@ -173,9 +173,9 @@ def sufficient_conditions_check(a, b, rho_pre: QuantumState, outcomes) -> Suffic
     if set(b_terms.flips) - {0}:
         raise ContractViolationError("the measured observable must be z-diagonal")
     w = np.zeros(1 << b.n) + b_terms.flips.get(0, 0.0)
+    idx, _ = _bit_table(b.n)
     a_terms = a.terms()
-    amat = a_terms.dense()
-    a2 = (a_terms @ a_terms).dense()
+    a2 = a_terms @ a_terms
     outs, probs, resids, ratios, skipped = [], [], [], [], []
     for target in outcomes:
         target = float(target)
@@ -190,9 +190,11 @@ def sufficient_conditions_check(a, b, rho_pre: QuantumState, outcomes) -> Suffic
             resids.append(math.nan)
             ratios.append(math.nan)
             continue
-        block = np.ix_(sel, sel)
-        resids.append(float(np.linalg.norm(amat[block], axis=0).max()))
-        ratios.append(float(np.einsum("ij,ji->", rho_pre.block(sel), a2[block]).real) / prob)
+        # column j of P A P holds amp_f[j] at row j ^ f for each flip f
+        col_norms = sum((np.abs(amp) ** 2 * sel[idx ^ f] for f, amp in a_terms.flips.items()),
+                        np.zeros(idx.size))
+        resids.append(math.sqrt(float(col_norms[sel].max())))
+        ratios.append(a2.expect(WindowState(rho_pre, sel)).real / prob)
     return SufficiencyReport(outcomes=tuple(outs), probabilities=tuple(probs),
                              condition_residuals=tuple(resids),
                              second_moment_ratios=tuple(ratios),
@@ -240,10 +242,12 @@ def averaged_identity_check(rho_pre: QuantumState) -> AveragedIdentityReport:
         spec = OutcomeSpec.exact(int(m))
         rho_m = post_state(rho_pre, spec)
         lhs += p * expect_c(rho_m, a_obs, spec.projector(n))
+    # the pinched state is the sum over every sector of P_m rho P_m
     sectors = mz_values(n)
-    pinched = np.where(sectors[:, None] == sectors[None, :], rho_pre.mat, 0.0)
     mx = a_obs.terms()
-    rhs = 2.0 * (mx @ mx).expect(QuantumState(pinched)).real
+    mx2 = mx @ mx
+    rhs = 2.0 * sum(mx2.expect(WindowState(rho_pre, sectors == m)).real
+                    for m in dist.support)
     return AveragedIdentityReport(averaged_c=lhs, pinched_value=rhs,
                                   residual=abs(lhs - rhs), skipped=tuple(skipped))
 

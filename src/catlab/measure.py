@@ -12,8 +12,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ContractViolationError, DomainError, ImpossibleOutcomeError
-from .spincore import (QuantumState, ZDiagonal, _check_cap, _check_outcome_parity,
-                       _window_mask, double_commutator,
+from .spincore import (QuantumState, WindowState, ZDiagonal, _check_cap,
+                       _check_outcome_parity, _window_mask, double_commutator,
                        mz_interval_projector, mz_projector, mz_values,
                        total_magnetization)
 
@@ -85,16 +85,14 @@ def outcome_probability(rho: QuantumState, spec: OutcomeSpec) -> float:
 
 
 def post_state(rho: QuantumState, spec: OutcomeSpec) -> QuantumState:
-    """P rho P / Tr[P rho P] for the outcome's projector."""
+    """P rho P / Tr[P rho P] for the outcome's projector, as a WindowState."""
     mask = spec.mask(rho.n)
     prob = outcome_probability(rho, spec)
     if prob <= PROB_FLOOR:
         raise ImpossibleOutcomeError(
             f"outcome {spec.kind}[{spec.m_lo}, {spec.m_hi}] has probability {prob:.3e}")
-    mat = np.zeros((rho.dim, rho.dim), dtype=complex)
     # times the reciprocal, which is how numpy divides a complex block
-    mat[np.ix_(mask, mask)] = rho.block(mask) * (1.0 / prob)
-    return QuantumState(mat)
+    return WindowState(rho, mask, 1.0 / prob)
 
 
 def sample_outcome(dist: OutcomeDistribution, seed: int) -> int:

@@ -24,13 +24,13 @@ real and commute with the global spin flip, and a ring's with its cyclic
 translation too, so symmetry_eigh diagonalizes them in one block per
 character of that group: two flip-parity blocks for an open chain, 2n
 momentum and parity blocks of about 2^n / 2n states for a ring, read from
-the bit-operation kernel with no dense matrix. Every read of a state (its
-diagonal, a window, a kernel trace, the dense matrix) goes through
-QuantumState.entries(rows, cols); a state built from such a spectrum
-(SpectralState) keeps it and its weights and gathers entries from the rows
-at the orbit representatives.
-Magnetization projectors are z-diagonal and are kept as their diagonal
-(ZDiagonal). Both build their dense view only on request.
+the bit-operation kernel with no dense matrix. Every read of a state goes
+through QuantumState.entries(rows, cols), and a kernel trace reads only the
+rows in support(). A state built from such a spectrum (SpectralState) keeps
+it and its weights and gathers entries from the rows at the orbit
+representatives; a measured state (WindowState) keeps its block on the
+measured window. Magnetization projectors are kept as their diagonal
+(ZDiagonal). All three build their dense view only on request.
 
 Basis convention, shared by all modules: computational z basis, ordered
 lexicographically with site 1 as the most significant tensor factor, and
@@ -143,14 +143,14 @@ class PauliTerms:
         return out
 
     def expect(self, rho: QuantumState) -> complex:
-        """Tr[rho T], reading rho only where T has entries."""
-        idx, _ = _bit_table(self.n)
-        if rho.dim != idx.size:
+        """Tr[rho T], reading rho only where T has entries and on rho.support()."""
+        if rho.dim != 1 << self.n:
             raise ContractViolationError(f"expect at n={self.n} got a state of dim {rho.dim}")
+        rows = rho.support()
         total = 0j
         for mask, amp in self.flips.items():
-            entries = rho.entries(idx, idx ^ mask)
-            total += complex(entries @ amp if np.ndim(amp) else amp * entries.sum())
+            entries = rho.entries(rows, rows ^ mask)
+            total += complex(entries @ amp[rows] if np.ndim(amp) else amp * entries.sum())
         return total
 
 
@@ -264,6 +264,10 @@ class QuantumState(Operator):
         """rho[rows, cols], with the index arrays broadcast as numpy does."""
         return self.mat[rows, cols]
 
+    def support(self) -> np.ndarray:
+        """Ascending basis states outside which every row of rho is zero."""
+        return np.arange(self.dim)
+
     def diagonal(self) -> np.ndarray:
         """The diagonal entries <s|rho|s>."""
         idx = np.arange(self.dim)
@@ -273,6 +277,50 @@ class QuantumState(Operator):
         """rho restricted to the basis states where mask is set."""
         rows = np.flatnonzero(mask)
         return self.entries(rows[:, None], rows)
+
+
+class WindowState(QuantumState):
+    """scale * P rho P for the projector P onto the window W of basis states
+    where mask is set, kept as its rows (ascending), the D_W x D_W block on
+    them (real when rho's entries are) and each state's position in it.
+    Every state outside W has position D_W, a zero row and column of the
+    block, so entries() returns 0 there; .mat is built on first access only.
+    """
+
+    def __init__(self, rho: QuantumState, mask: np.ndarray, scale: float = 1.0):
+        rows = np.flatnonzero(mask)
+        where = np.full(rho.dim, rows.size)
+        where[rows] = np.arange(rows.size)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_where", where)
+        block = rho.block(mask) * scale
+        padded = np.zeros((rows.size + 1, rows.size + 1), dtype=block.dtype)
+        padded[:-1, :-1] = block
+        object.__setattr__(self, "_block", padded)
+
+    def __repr__(self) -> str:
+        return f"WindowState(dim={self.dim}, window={self.rows.size})"
+
+    @property
+    def dim(self) -> int:
+        return self._where.size
+
+    @cached_property
+    def purity(self) -> float:
+        # pairwise; a BLAS dot over all d^2 entries was 5e-12 off, relative, at n = 12
+        return float(np.sum((self._block.conj() * self._block).real))
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self._block[self._where[rows], self._where[cols]]
+
+    def support(self) -> np.ndarray:
+        return self.rows
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[np.ix_(self.rows, self.rows)] = self._block[:-1, :-1]
+        return out
 
 
 def as_state(mat: np.ndarray) -> QuantumState:

@@ -1,5 +1,7 @@
 """Outcome distributions, post-measurement states, and sampling."""
 
+import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import denseref
-from catlab.analysis import (energy_moments_dense, sufficient_conditions_check,
-                             transverse_moments)
+from catlab import cli
+from catlab.analysis import (averaged_identity_check, energy_moments_dense,
+                             sufficient_conditions_check, transverse_moments)
 from catlab.errors import ImpossibleOutcomeError, InvalidOutcomeError
 from catlab.indices import expect_c
 from catlab.measure import (
@@ -20,7 +23,8 @@ from catlab.measure import (
     post_state,
     sample_outcome,
 )
-from catlab.spincore import (QuantumState, as_state, mz_projector, pure_state,
+from catlab.spincore import (QuantumState, SpectralState, additive_observable,
+                             as_state, mz_projector, pauli_terms, pure_state,
                              total_magnetization)
 from catlab.thermal import SpinHamiltonian, gibbs_state
 
@@ -182,7 +186,13 @@ def _sufficiency(rho):
             *report.second_moment_ratios)
 
 
+def _averaged(rho):
+    report = averaged_identity_check(rho)
+    return report.averaged_c, report.pinched_value
+
+
 _KERNEL_READS = {
+    "averaged_identity_check": _averaged,
     "energy_moments_dense": lambda rho: astuple(energy_moments_dense(rho, _XYZ8)),
     "transverse_moments": transverse_moments,
     "expect_c": lambda rho: expect_c(rho, _MX8, mz_projector(8, 0)),
@@ -199,3 +209,127 @@ def test_kernel_reads_never_assemble_the_gibbs_matrix(read):
     want = _KERNEL_READS[read](QuantumState(denseref.gibbs(denseref.hamiltonian(
         8, 1.0, (0.2, 0.1, 0.3)), 0.9)))
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+_J = (0.2, 0.1, 0.3)
+
+
+def _window_cases(n):
+    """(state, its dense reference) pairs: a Gibbs state on each boundary and
+    a random dense state."""
+    for boundary in ("periodic", "open"):
+        ham = SpinHamiltonian(n=n, h=0.7, j=_J, boundary=boundary)
+        yield gibbs_state(ham, 0.9), denseref.gibbs(denseref.hamiltonian(n, 0.7, _J, boundary), 0.9)
+    dense = denseref.random_density_matrix(n, np.random.default_rng(n))
+    yield QuantumState(dense), dense
+
+
+def _pauli_sums(n):
+    """Hermitian Pauli sums whose traces the window state must reproduce:
+    H, Mx (which leaves every exact window), Mx^2 and a site-dependent sum
+    with complex amplitudes."""
+    rng = np.random.default_rng(100 + n)
+    mx = total_magnetization("x", n).terms()
+    bonds = [(s, s + 1, tuple(rng.standard_normal(3))) for s in range(1, n)]
+    return [SpinHamiltonian(n=n, h=0.7, j=_J).terms(), mx, mx @ mx,
+            pauli_terms(n, rng.standard_normal((n, 3)), bonds)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_window_state_matches_dense_reference(n):
+    low = n % 2
+    inner = OutcomeSpec.exact(low)
+    specs = (inner, OutcomeSpec.exact(-n), OutcomeSpec.interval(-1, 3))
+    rng = np.random.default_rng(n)
+    rows, cols = rng.integers(0, 2**n, (2, 40))
+    mask = rng.random(2**n) < 0.5
+    for rho, dense in _window_cases(n):
+        for spec in specs:
+            post = post_state(rho, spec)
+            want, _ = denseref.project(dense, denseref.sector_projector(n, spec.m_lo, spec.m_hi))
+            np.testing.assert_allclose(post.entries(rows, cols), want[rows, cols], atol=ATOL)
+            np.testing.assert_allclose(post.block(mask), want[np.ix_(mask, mask)], atol=ATOL)
+            np.testing.assert_allclose(post.diagonal(), np.diag(want), atol=ATOL)
+            assert post.purity == pytest.approx(np.trace(want @ want).real, rel=1e-12)
+            np.testing.assert_array_equal(post.support(), np.flatnonzero(spec.mask(n)))
+            if isinstance(rho, SpectralState):
+                assert np.isrealobj(post.block(mask))
+            assert "mat" not in vars(post)
+            reference = QuantumState(post.mat)
+            np.testing.assert_allclose(post.mat, want, atol=ATOL)
+            for terms in _pauli_sums(n):
+                assert terms.expect(post) == pytest.approx(terms.expect(reference),
+                                                           rel=1e-12, abs=ATOL)
+            if spec is not specs[1]:
+                twice = post_state(post, inner)
+                want_twice, _ = denseref.project(want, denseref.sector_projector(n, low, low))
+                np.testing.assert_allclose(twice.mat, want_twice, atol=ATOL)
+
+
+def test_window_purity_is_an_accurate_sum():
+    # a BLAS dot over every d^2 entry of the embedded state is 3e-13 off here
+    spec = OutcomeSpec.interval(-4, 4)
+    post = post_state(gibbs_state(SpinHamiltonian(n=10, h=1.0), 1.0), spec)
+    block = post.block(spec.mask(10))
+    want = math.fsum((np.conj(block) * block).real.ravel())
+    assert abs(post.purity - want) <= 1e-14 * want
+
+
+def _dense_sufficiency(coeffs, dense, outcomes):
+    n = coeffs.shape[0]
+    amat = sum(c * denseref.site_operator(axis, s + 1, n)
+               for s in range(n) for axis, c in zip("xyz", coeffs[s]))
+    vals = denseref.mz_eigenvalues(n)
+    resids, ratios = [], []
+    for m in outcomes:
+        block = np.ix_(vals == m, vals == m)
+        prob = np.trace(dense[block]).real
+        resids.append(np.linalg.norm(amat[block], axis=0).max())
+        ratios.append(np.trace(dense[block] @ (amat @ amat)[block]).real / prob)
+    return resids, ratios
+
+
+def test_sufficiency_matches_dense_reference_for_a_site_dependent_observable():
+    n, outcomes = 8, (0, 2, -4)
+    coeffs = np.random.default_rng(8).standard_normal((n, 3))
+    rho = gibbs_state(_XYZ8, 0.9)
+    report = sufficient_conditions_check(additive_observable(coeffs), _MZ8, rho, outcomes)
+    resids, ratios = _dense_sufficiency(
+        coeffs, denseref.gibbs(denseref.hamiltonian(n, 1.0, _J), 0.9), outcomes)
+    np.testing.assert_allclose(report.condition_residuals, resids, rtol=1e-12)
+    np.testing.assert_allclose(report.second_moment_ratios, ratios, rtol=1e-12)
+    assert "mat" not in vars(rho)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_XYZ10 = SpinHamiltonian(n=10, h=1.0, j=_J)
+
+
+def test_sufficiency_allocates_no_dense_matrix():
+    rho = gibbs_state(_XYZ10, 0.9)
+    a, b = total_magnetization("x", 10), total_magnetization("z", 10)
+    peak = _peak_bytes(lambda: sufficient_conditions_check(a, b, rho, (0,)))
+    assert peak < 4**10 * 8
+
+
+def test_dense_columns_allocate_no_dense_matrix(monkeypatch):
+    rho = gibbs_state(_XYZ10, 0.9)
+    made = []
+
+    def keep(state, spec):
+        made.append(post_state(state, spec))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "post_state", keep)
+    spec = OutcomeSpec.exact(0)
+    peak = _peak_bytes(lambda: cli._dense_columns(_XYZ10, rho, spec))
+    assert peak < 4**10 * 8
+    assert "mat" not in vars(rho) and "mat" not in vars(made[0])

@@ -341,22 +341,32 @@ def test_eigenvalue_checks_skip_the_eigenvectors(monkeypatch):
 
 
 def test_no_caller_reads_a_state_through_its_dense_matrix():
-    # spincore implements the reads, and the oracle is the independent cross-check
+    # spincore implements the reads, and the oracle is the independent
+    # cross-check; thermal's realize() is the one dense view of H
     def is_mat(node):
         return isinstance(node, ast.Attribute) and node.attr == "mat"
+
+    def is_dim_square(node):
+        return (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                and all(isinstance(e, ast.Attribute) and e.attr == "dim" for e in node.elts))
 
     found = []
     for path in sorted(Path(spincore.__file__).parent.glob("*.py")):
         if path.name in ("spincore.py", "oracle.py"):
             continue
+        dense_ok = path.name == "thermal.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
             args = [*node.args, *(k.value for k in node.keywords)]
             on_mat = any(map(is_mat, args))
+            func = ast.unparse(node.func)
             if ((node.func.attr == "expect" and on_mat)
-                    or (ast.unparse(node.func) in ("np.diag", "np.diagonal") and on_mat)
-                    or (node.func.attr == "diagonal" and is_mat(node.func.value))):
+                    or (func in ("np.diag", "np.diagonal") and on_mat)
+                    or (node.func.attr == "diagonal" and is_mat(node.func.value))
+                    or (not dense_ok and node.func.attr == "dense")
+                    or (not dense_ok and func == "np.zeros" and any(map(is_dim_square, args)))
+                    or (not dense_ok and func == "np.where" and on_mat)):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
 
