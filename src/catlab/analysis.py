@@ -17,9 +17,9 @@ from .errors import ContractViolationError, DomainError
 from .indices import c_closed_form_free, expect_c, fit_exponent, optimal_witness
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state)
-from .spincore import (QuantumState, WindowState, _bit_table, double_commutator,
-                       mz_projector, mz_values, total_magnetization,
-                       unitary_evolution)
+from .spincore import (QuantumState, WindowState, _bit_table, _herm_eigh,
+                       double_commutator, mz_projector, mz_values,
+                       total_magnetization)
 from .thermal import SpinHamiltonian, gibbs_state, log_interval_partition_post
 
 SECTOR_TOL = 1e-9
@@ -295,10 +295,12 @@ def time_evolution_invariance(rho_post: QuantumState, ham: SpinHamiltonian,
     window = (int(occupied.min()), int(occupied.max()))
 
     base = optimal_witness(rho_post, a_obs)[1]
+    # one solve of H serves every time: U_t = v diag(exp(-i w t)) v^dagger
+    w, v = _herm_eigh(h_op, "propagator input")
     times, values, resids = [], [], []
     for t in t_grid:
         t = float(t)
-        u = unitary_evolution(h_op, t).mat
+        u = (v * np.exp(-1j * w * t)) @ v.conj().T
         rho_t = QuantumState(u @ rho_post.mat @ u.conj().T)
         val = optimal_witness(rho_t, a_obs)[1]
         times.append(t)

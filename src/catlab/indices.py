@@ -13,7 +13,10 @@ The search evaluates directions through one quadratic form per state:
 Hermitian forms are built once, in a basis of at most 10 rank(rho) vectors,
 and each direction costs one linear combination and one eigvalsh. The
 forms hold 6 K^2 complex numbers for a basis of K vectors, 96 MB at
-K = 2^10.
+K = 2^10. A state that commutes with M_z, as every single-outcome
+post-state does, is unchanged by rotations about z, so its catness depends
+on the polar angle alone: three forms over Mx and Mz, real when the state
+is, and half the grid suffice.
 """
 from __future__ import annotations
 
@@ -22,19 +25,20 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ContractViolationError, DomainError
 from .spincore import (AdditiveObservable, Operator, QuantumState, ZDiagonal,
                        _check_cap, _check_outcome_parity, _herm_eigh,
-                       additive_observable, double_commutator, pauli_terms,
-                       pure_state, snap_interval, total_magnetization,
-                       trace_norm, uniform_observable)
+                       additive_observable, double_commutator, mz_values,
+                       pauli_terms, pure_state, snap_interval,
+                       total_magnetization, trace_norm, uniform_observable)
 from .thermal import _log_binom, interval_r_count
 
 SEARCH_RESOLUTION = 312
 PURITY_PURE_TOL = 1e-10
 _EIG_FLOOR = 1e-12
+_POLAR_MAXITER = 50  # form evaluations of the polar polish
 
 FIXTURE_KINDS = ("cat_plus", "cat_minus", "rho_ex1", "rho_ex2", "rho_ex3",
                  "psi1", "psi2")
@@ -167,23 +171,31 @@ def q_functional(rho: QuantumState, a: AdditiveObservable) -> float:
     return trace_norm(double_commutator(a, rho))
 
 
-def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray]:
-    """rho = V diag(w) V^dagger over the weights above _EIG_FLOOR.
+def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray, bool]:
+    """rho = V diag(w) V^dagger over the weights above _EIG_FLOOR, and whether
+    rho commutes with M_z.
 
     The eigensolve runs on the indices where rho has a nonzero entry in the
     row or the column. That is exact, since a zero row of a positive
     semidefinite matrix is a kernel vector, and it keeps every nonzero entry
     inside the block that is checked for hermiticity. The eigenvectors are
-    scattered back to length 2^n.
+    scattered back to length 2^n; they are real when that block is. rho
+    commutes with M_z exactly when the block has no nonzero entry between
+    two magnetization sectors. A state supported on fewer than 2^n rows is
+    read through entries(), so its dense matrix is never built.
     """
-    mat = rho.mat
+    rows = rho.support()
+    mat = rho.entries(rows[:, None], rows) if rows.size < rho.dim else rho.mat
     nonzero = mat != 0
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    w, v = _herm_eigh(mat[np.ix_(support, support)], "state")
+    keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    block, support = mat[np.ix_(keep, keep)], rows[keep]
+    sectors = mz_values(rho.n)[support]
+    commutes = not (nonzero[np.ix_(keep, keep)] & (sectors[:, None] != sectors)).any()
+    w, v = _herm_eigh(block, "state")
     sel = w > _EIG_FLOOR
-    vecs = np.zeros((rho.dim, int(sel.sum())), dtype=complex)
+    vecs = np.zeros((rho.dim, int(sel.sum())), dtype=v.dtype)
     vecs[support] = v[:, sel]
-    return w[sel], vecs
+    return w[sel], vecs, commutes
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +257,7 @@ def _catness_form(weights: np.ndarray, vecs: np.ndarray,
         blocks = [basis @ block for block in blocks]
     p0, x, y = blocks[0], blocks[1:count + 1], blocks[count + 1:]
     side = p0.shape[0]
-    forms = np.empty((len(pairs), side, side), dtype=complex)
+    forms = np.empty((len(pairs), side, side), dtype=np.result_type(*blocks))
     for p, ((a, b), yab) in enumerate(zip(pairs, y)):
         # G_ab = H + H^dagger, so every form is exactly Hermitian
         half = (yab * weights) @ p0.conj().T
@@ -254,13 +266,20 @@ def _catness_form(weights: np.ndarray, vecs: np.ndarray,
     return _CatnessForm(pairs=pairs, forms=forms)
 
 
-def _grid_directions(k: int) -> np.ndarray:
-    """k near-uniform unit vectors from the golden-angle spiral."""
-    j = np.arange(k)
+def _grid_directions(k: int, half_plane: bool = False) -> np.ndarray:
+    """k near-uniform unit vectors from the golden-angle spiral; with
+    half_plane, (sin theta, 0, cos theta) at its ceil(k / 2) distinct polar
+    angles theta = arccos|z|, from the pole to the equator."""
+    j = np.arange((k + 1) // 2 if half_plane else k)
     z = 1.0 - (2.0 * j + 1.0) / k
-    phi = j * (np.pi * (3.0 - np.sqrt(5.0)))
+    phi = np.zeros(j.size) if half_plane else j * (np.pi * (3.0 - np.sqrt(5.0)))
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+def _unit(theta: float, phi: float = 0.0) -> np.ndarray:
+    return np.array([math.sin(theta) * math.cos(phi),
+                     math.sin(theta) * math.sin(phi), math.cos(theta)])
 
 
 def observable_search(rho: QuantumState,
@@ -268,47 +287,55 @@ def observable_search(rho: QuantumState,
     """Maximize the eta-optimal catness over additive observables.
 
     Candidates are uniform observables on a golden-spiral direction grid,
-    a Nelder-Mead polish of the best grid direction, and (for pure states)
-    the site-dependent observable suggested by the covariance matrix.
+    a polish of the best grid direction, and (for pure states) the
+    site-dependent observable suggested by the covariance matrix.
     Deterministic for a fixed resolution.
 
     D(d) = [A, [A, rho]] is quadratic in the direction d of a uniform A, so
     the six forms G_ab over the three total magnetizations are built once per
     state (_catness_form) and each direction costs one linear combination and
     one eigvalsh of side K <= min(10 rank(rho), 2^n). The forms take
-    6 * K^2 * 16 bytes: 96 MB for a full-rank state at n = 10.
+    6 * K^2 * 16 bytes: 96 MB for a full-rank state at n = 10. The grid has
+    resolution directions and a Nelder-Mead polish follows.
+
+    A rho that commutes with M_z is unchanged by rotations about z, so D(d)
+    depends on the polar angle theta of d alone. Then three forms over Mx and
+    Mz (real when rho is) serve the ceil(resolution / 2) distinct polar
+    angles of the same spiral, a bounded polish searches between the
+    neighbours of the best one, and a_used is (sin theta, 0, cos theta).
     """
     if resolution < 2:
         raise DomainError("need at least two grid directions")
     n = rho.n
-    weights, vecs = _state_factors(rho)
-    value = _catness_form(weights, vecs, [total_magnetization(axis, n)
-                                          for axis in ("x", "y", "z")]).value
+    weights, vecs, commutes = _state_factors(rho)
+    axes = [0, 2] if commutes else [0, 1, 2]
+    value = _catness_form(weights, vecs, [total_magnetization("xyz"[a], n)
+                                          for a in axes]).value
+    best: list = [-1.0, 0.0, None]  # value, eta trace, direction
 
-    best_val, best_eta = -1.0, 0.0
-    best_dir = np.array([1.0, 0.0, 0.0])
-    for direction in _grid_directions(resolution):
-        val, eta_tr = value(direction)
-        if val > best_val:
-            best_val, best_eta, best_dir = val, eta_tr, direction
+    def negated(direction: np.ndarray) -> float:
+        val, eta_tr = value(direction[axes])
+        if val > best[0]:
+            best[:] = val, eta_tr, direction
+        return -val
 
-    theta0 = math.acos(float(np.clip(best_dir[2], -1.0, 1.0)))
-    phi0 = math.atan2(float(best_dir[1]), float(best_dir[0]))
-
-    def negated(angles):
-        th, ph = angles
-        d = (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th))
-        return -value(d)[0]
-
-    res = minimize(negated, np.array([theta0, phi0]), method="Nelder-Mead",
-                   options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 200})
-    if -res.fun > best_val:
-        th, ph = res.x
-        best_dir = np.array([math.sin(th) * math.cos(ph),
-                             math.sin(th) * math.sin(ph), math.cos(th)])
-        best_val, best_eta = value(best_dir)
-
-    best_obs = uniform_observable(best_dir, n)
+    for direction in _grid_directions(resolution, half_plane=commutes):
+        negated(direction)
+    z = float(best[2][2])
+    if commutes:
+        # the neighbouring grid angles, z being 2 / resolution apart on the
+        # grid; the pole and the equator close the ends
+        bounds = (math.acos(min(z + 2.0 / resolution, 1.0)),
+                  math.acos(max(z - 2.0 / resolution, 0.0)))
+        minimize_scalar(lambda th: negated(_unit(th)), bounds=bounds, method="bounded",
+                        options={"xatol": 1e-10, "maxiter": _POLAR_MAXITER})
+    else:
+        start = [math.acos(float(np.clip(z, -1.0, 1.0))),
+                 math.atan2(float(best[2][1]), float(best[2][0]))]
+        minimize(lambda angles: negated(_unit(*angles)), np.array(start),
+                 method="Nelder-Mead",
+                 options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 200})
+    best_val, best_eta, best_obs = best[0], best[1], uniform_observable(best[2], n)
 
     if rho.purity > 1.0 - PURITY_PURE_TOL:
         candidate = _vcm_of(vecs[:, -1], n).principal_observable()

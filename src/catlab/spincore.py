@@ -96,14 +96,16 @@ class PauliTerms:
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """The operator applied to a length-2^n vector or a (2^n, k) block of
-        columns; the result has the shape of the input."""
+        columns; the result has the shape of the input, and is real when the
+        block and every amplitude are."""
         idx, _ = _bit_table(self.n)
-        block = np.asarray(block, dtype=complex)
+        block = np.asarray(block)
+        block = block.astype(np.result_type(block, self.dtype), copy=False)
         if block.ndim not in (1, 2) or block.shape[0] != idx.size:
             raise ContractViolationError(
                 f"apply needs {idx.size} rows at n={self.n}, got shape {block.shape}")
         cols = block.reshape(idx.size, -1)
-        out = np.zeros(cols.shape, dtype=complex)
+        out = np.zeros(cols.shape, dtype=block.dtype)
         for mask, amp in self.flips.items():
             src = idx ^ mask
             # scaled in place: one large temporary per term, since fresh
@@ -113,11 +115,15 @@ class PauliTerms:
             out += flipped
         return out.reshape(block.shape)
 
+    @property
+    def dtype(self) -> type:
+        """complex when an amplitude is, else float."""
+        return complex if any(np.iscomplexobj(a) for a in self.flips.values()) else float
+
     def dense(self) -> np.ndarray:
         """Dense matrix, real unless an amplitude is complex; O(terms * 2^n) writes."""
         idx, _ = _bit_table(self.n)
-        dtype = complex if any(np.iscomplexobj(a) for a in self.flips.values()) else float
-        out = np.zeros((idx.size, idx.size), dtype=dtype)
+        out = np.zeros((idx.size, idx.size), dtype=self.dtype)
         for mask, amp in self.flips.items():
             out[idx ^ mask, idx] += amp
         return out
@@ -238,7 +244,10 @@ def as_operator(mat: np.ndarray) -> Operator:
 
 
 def _mat(op) -> np.ndarray:
-    return op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    """The dense matrix of an Operator or array; a real array stays real."""
+    if isinstance(op, Operator):
+        return op.mat
+    return np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
 
 
 def _herm_eigh(op, what: str, _values_only: bool = False):
@@ -580,7 +589,7 @@ def symmetry_eigh(terms: PauliTerms, translation: bool) -> SymmetrySpectrum:
     """
     n = _check_cap(terms.n)
     group = _symmetry_group(n, bool(translation))
-    if any(np.iscomplexobj(a) for a in terms.flips.values()):
+    if terms.dtype is complex:
         raise ContractViolationError("symmetry_eigh needs real amplitudes")
     dim = 1 << n
     masks = np.fromiter(terms.flips, dtype=np.intp, count=len(terms.flips))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import denseref
+from catlab import analysis, indices, spincore
 from catlab.analysis import (
     FeasibilityInput,
     averaged_identity_check,
@@ -22,9 +23,10 @@ from catlab.analysis import (
     transverse_moments,
 )
 from catlab.errors import ContractViolationError, DomainError
-from catlab.indices import c_closed_form_free
+from catlab.indices import c_closed_form_free, optimal_witness
 from catlab.measure import OutcomeSpec, post_state
-from catlab.spincore import as_state, pure_state, total_magnetization
+from catlab.spincore import (QuantumState, as_state, pure_state,
+                             total_magnetization, unitary_evolution)
 from catlab.thermal import SpinHamiltonian, gibbs_state
 
 RTOL = 1e-10
@@ -195,6 +197,33 @@ def test_time_evolution_preserves_optimal_catness():
     assert report.notice == ""
     assert report.outcome_window == (0, 0)
     assert max(report.residuals) <= 1e-9
+
+
+def test_time_evolution_solves_the_hamiltonian_once(monkeypatch):
+    n, times = 6, (0.0, 0.3, 0.7, 1.1, 2.3)
+    post = free_post(n, 1.0)
+    ham = SpinHamiltonian(n=n, h=1.0, j=(0.5, 0.0, 0.0))
+    # the same report, one propagator solve per time
+    h_op, mx = ham.realize(), total_magnetization("x", n)
+    base = optimal_witness(post, mx)[1]
+    want = []
+    for t in times:
+        u = unitary_evolution(h_op, t).mat
+        want.append(optimal_witness(QuantumState(u @ post.mat @ u.conj().T), mx)[1])
+
+    labels = []
+    solve = spincore._herm_eigh
+
+    def counting(op, what, *args):
+        labels.append(what)
+        return solve(op, what, *args)
+
+    for module in (analysis, indices, spincore):
+        monkeypatch.setattr(module, "_herm_eigh", counting)
+    report = time_evolution_invariance(post, ham, times)
+    assert labels.count("propagator input") == 1
+    assert report.values == tuple(want)
+    assert report.residuals == tuple(abs(v - base) for v in want)
 
 
 def test_time_evolution_flags_non_commuting_hamiltonian():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import comb
 
 import denseref
@@ -267,7 +268,7 @@ def _assert_matches_dense(got, rho, amat):
 def test_catness_form_matches_dense_reference(n, rank):
     rng = np.random.default_rng(10 * n + (rank or 0))
     rho = as_state(denseref.random_density_matrix(n, rng, rank))
-    weights, vecs = _state_factors(rho)
+    weights, vecs, _ = _state_factors(rho)
     uniform = _catness_form(weights, vecs,
                             [total_magnetization(axis, n) for axis in "xyz"])
     for _ in range(4):
@@ -298,7 +299,8 @@ def test_state_factors_restrict_to_the_support():
     g[0] *= 1e-4  # a support row with small entries must stay in the solve
     mat = np.zeros((16, 16), dtype=complex)
     mat[np.ix_(support, support)] = g @ g.conj().T / np.trace(g @ g.conj().T).real
-    weights, vecs = _state_factors(as_state(mat))
+    weights, vecs, commutes = _state_factors(as_state(mat))
+    assert not commutes  # rows 1 and 6 lie in different M_z sectors
     w = np.linalg.eigvalsh(mat)
     np.testing.assert_allclose(weights, w[w > 1e-12], rtol=1e-12)
     off = np.setdiff1d(np.arange(16), support)
@@ -404,6 +406,156 @@ def test_observable_search_factors_a_pure_state_once(monkeypatch):
     report = observable_search(fixture_states("cat_plus", 6))
     assert len(calls) == 1
     assert report.c_value == pytest.approx(2.0 * 6 * 6, rel=1e-10)
+
+
+
+def _ring_post(spec, n=6):
+    rho = gibbs_state(SpinHamiltonian(n=n, h=1.0, j=(0.2, 0.0, 0.1)), 1.0)
+    return post_state(rho, spec)
+
+
+def _sector_state(n=5, m=1):
+    """A random complex density matrix inside the sector M_z = m."""
+    rng = np.random.default_rng(11)
+    rows = np.flatnonzero(denseref.mz_eigenvalues(n) == m)
+    g = (rng.standard_normal((rows.size, rows.size))
+         + 1j * rng.standard_normal((rows.size, rows.size)))
+    block = g @ g.conj().T
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    mat[np.ix_(rows, rows)] = block / np.trace(block).real
+    return as_state(mat)
+
+
+# each state with the c_value that a full-sphere search (312 spiral
+# directions and a Nelder-Mead polish over both angles) gave for it
+_COMMUTING = {
+    "post_m0": (lambda: _ring_post(OutcomeSpec.exact(0)), 43.11685175677459),
+    "post_m2": (lambda: _ring_post(OutcomeSpec.exact(2)), 39.91296190870575),
+    "post_m4": (lambda: _ring_post(OutcomeSpec.exact(4)), 30.465736519831978),
+    "post_m6": (lambda: _ring_post(OutcomeSpec.exact(6)), 15.797958971132719),
+    "rho_ex2_6": (lambda: fixture_states("rho_ex2", 6), 15.79795897113272),
+    "rho_ex2_8": (lambda: fixture_states("rho_ex2", 8), 21.266499161421617),
+    "sector_5": (_sector_state, 11.940863179646229),
+}
+_NON_COMMUTING = {
+    "rho_ex1_6": (lambda: fixture_states("rho_ex1", 6), 32.000000000000014),
+    "rho_ex1_8": (lambda: fixture_states("rho_ex1", 8), 71.99999999998894),
+    "rho_ex1_10": (lambda: fixture_states("rho_ex1", 10), 127.99999999992835),
+    "cat_plus_6": (lambda: fixture_states("cat_plus", 6), 71.99999999999996),
+    "psi2_6": (lambda: fixture_states("psi2", 6), 44.893309284648495),
+}
+_INTERVAL = (lambda: _ring_post(OutcomeSpec.interval(-2, 2)), 28.40958345999507)
+_SPHERE_VALUES = {**_COMMUTING, **_NON_COMMUTING, "interval": _INTERVAL}
+
+
+def _dense_polar_scan(rho, n):
+    """Max over theta of the optimal catness of sin(theta) Mx + cos(theta) Mz:
+    a 2001-point scan of [0, pi/2] from dense matrices and a bounded polish
+    between the neighbours of the best point."""
+    mx, mz = denseref.magnetization("x", n), denseref.magnetization("z", n)
+    dxx = denseref.double_commutator(mx, rho)
+    dzz = denseref.double_commutator(mz, rho)
+    dxz = denseref.double_commutator(mx + mz, rho) - dxx - dzz
+    # rows and columns where every D(theta) vanishes add only zero eigenvalues
+    weight = np.abs(dxx) + np.abs(dxz) + np.abs(dzz)
+    live = np.flatnonzero(weight.sum(axis=0) + weight.sum(axis=1))
+    dxx, dxz, dzz = (d[np.ix_(live, live)] for d in (dxx, dxz, dzz))
+
+    def value(theta):
+        s, c = math.sin(theta), math.cos(theta)
+        lam = np.linalg.eigvalsh(s * s * dxx + s * c * dxz + c * c * dzz)
+        return float(lam[lam > 0.0].sum())
+
+    thetas = np.linspace(0.0, 0.5 * math.pi, 2001)
+    values = [value(t) for t in thetas]
+    i = int(np.argmax(values))
+    res = minimize_scalar(lambda t: -value(t), method="bounded",
+                          bounds=(thetas[max(i - 1, 0)], thetas[min(i + 1, 2000)]),
+                          options={"xatol": 1e-12})
+    return max(values[i], -res.fun)
+
+
+@pytest.mark.parametrize("name", sorted(_SPHERE_VALUES))
+def test_search_is_no_worse_than_the_full_sphere_search(name):
+    make, sphere = _SPHERE_VALUES[name]
+    got = observable_search(make()).c_value
+    assert got >= sphere - 1e-10 * max(1.0, abs(sphere))
+
+
+@pytest.mark.parametrize("name", sorted(_COMMUTING))
+def test_commuting_search_matches_a_dense_polar_scan(name):
+    rho = _COMMUTING[name][0]()
+    assert _state_factors(rho)[2]
+    report = observable_search(rho)
+    assert report.c_value == pytest.approx(_dense_polar_scan(rho.mat, rho.n), rel=1e-8)
+    # the value does not depend on the azimuth, and the reported one is 0
+    assert report.a_used.uniform
+    assert report.a_used.site_coeffs[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(_NON_COMMUTING))
+def test_non_commuting_states_keep_the_sphere_search(name):
+    make, sphere = _NON_COMMUTING[name]
+    rho = make()
+    _, vecs, commutes = _state_factors(rho)
+    assert not commutes
+    assert vecs.dtype == complex
+    # the same code path as the pinned search; its last digits (rho_ex1 at
+    # n = 8 and 10) follow the BLAS thread count, so the match is relative
+    assert observable_search(rho).c_value == pytest.approx(sphere, rel=1e-12)
+
+
+def test_interval_post_state_keeps_the_sphere_search_on_real_factors():
+    make, sphere = _INTERVAL
+    rho = make()
+    _, vecs, commutes = _state_factors(rho)
+    assert not commutes  # the window [-2, 2] holds three M_z sectors
+    assert vecs.dtype == np.float64
+    assert observable_search(rho).c_value == pytest.approx(sphere, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [0, 6])
+def test_polar_forms_are_real_for_a_real_state(m):
+    # m = 0 has more form columns than rows and keeps the standard basis;
+    # the pure m = 6 state takes the SVD basis
+    weights, vecs, commutes = _state_factors(_ring_post(OutcomeSpec.exact(m)))
+    form = _catness_form(weights, vecs, [total_magnetization(axis, 6) for axis in "xz"])
+    assert commutes
+    assert vecs.dtype == form.forms.dtype == np.float64
+
+@pytest.mark.parametrize("resolution", [2, 3])
+def test_polar_search_polishes_a_one_or_two_angle_grid(resolution):
+    rho = _COMMUTING["post_m2"][0]()
+    report = observable_search(rho, resolution=resolution)
+    full = observable_search(rho)
+    assert report.c_value == pytest.approx(full.c_value, rel=1e-12)
+    assert report.eta_trace == full.eta_trace
+    assert report.a_used.site_coeffs[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("resolution", [2, 64, 312])
+def test_polar_search_evaluation_count(monkeypatch, resolution):
+    # the full-sphere search made about 424 form evaluations at resolution 312
+    calls = []
+    value = indices._CatnessForm.value
+
+    def counting(self, coeffs):
+        calls.append(coeffs)
+        return value(self, coeffs)
+
+    monkeypatch.setattr(indices._CatnessForm, "value", counting)
+    observable_search(_COMMUTING["post_m0"][0](), resolution=resolution)
+    assert len(calls) <= math.ceil(resolution / 2) + indices._POLAR_MAXITER
+
+
+def test_search_reads_a_window_state_through_its_block():
+    rho = gibbs_state(SpinHamiltonian(n=8, h=1.0, j=(0.2, 0.1, 0.3)), 0.9)
+    post = post_state(rho, OutcomeSpec.exact(0))
+    report = observable_search(post)
+    assert "mat" not in vars(rho)
+    assert "mat" not in vars(post)
+    # the full-sphere search gave 65.62279688782245
+    assert report.c_value == pytest.approx(65.62279688782245, rel=1e-12)
 
 
 _NON_HERMITIAN_CALLS = {

@@ -397,3 +397,15 @@ def test_dense_cap_guards_realization():
         mz_projector(DENSE_CAP + 1, DENSE_CAP + 1)
     with pytest.raises(CapacityError):
         total_magnetization("z", DENSE_CAP + 2).realize()
+
+
+def test_herm_eigh_keeps_a_real_array_real():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((12, 12))
+    mat = g + g.T
+    w, v = spincore._herm_eigh(mat, "real input")
+    want_w, want_v = np.linalg.eigh(mat)
+    assert v.dtype == np.float64
+    np.testing.assert_array_equal(w, want_w)
+    np.testing.assert_array_equal(v, want_v)
+    assert spincore._herm_eigh(mat, "real input", _values_only=True).dtype == np.float64
