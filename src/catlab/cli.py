@@ -20,6 +20,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from .analysis import (FeasibilityInput, energy_moments_dense,
                        energy_moments_free_closed, feasibility_calc,
                        purity_bound_free, transverse_moments)
@@ -29,7 +31,7 @@ from .indices import (c_closed_form_free, expect_c, fit_exponent,
                       fixture_states, i_function, interval_c_closed,
                       observable_search)
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
-                      post_state, sample_outcome)
+                      post_state, sample_outcomes)
 from .oracle import run_families
 from .records import (CSV_COLUMNS, append_jsonl, mix_seed, new_row, read_csv,
                       write_csv)
@@ -157,12 +159,9 @@ def run_convert(cfg: ExperimentConfig, args) -> int:
     start = time.perf_counter()
     state = _build_state(cfg, n)
     if cfg.outcome == "sampled":
-        dist = outcome_distribution(state[1])
-        windows = []
-        for index in range(cfg.shots):
-            record_seed = mix_seed(cfg.seed, index)
-            m = sample_outcome(dist, record_seed)
-            windows.append((m, m, record_seed))
+        seeds = mix_seed(cfg.seed, np.arange(cfg.shots, dtype=np.uint64))
+        draws = sample_outcomes(outcome_distribution(state[1]), seeds)
+        windows = [(m, m, seed) for m, seed in zip(draws.tolist(), seeds.tolist())]
     rows = []
     cache: dict[tuple[int, int], dict] = {}
     for index, (lo, hi, record_seed) in enumerate(windows):

@@ -302,7 +302,8 @@ def observable_search(rho: QuantumState,
     depends on the polar angle theta of d alone. Then three forms over Mx and
     Mz (real when rho is) serve the ceil(resolution / 2) distinct polar
     angles of the same spiral, a bounded polish searches between the
-    neighbours of the best one, and a_used is (sin theta, 0, cos theta).
+    neighbours of the best one (taking the pole or the equator exactly when
+    it closes that bracket), and a_used is (sin theta, 0, cos theta).
     """
     if resolution < 2:
         raise DomainError("need at least two grid directions")
@@ -325,10 +326,16 @@ def observable_search(rho: QuantumState,
     if commutes:
         # the neighbouring grid angles, z being 2 / resolution apart on the
         # grid; the pole and the equator close the ends
-        bounds = (math.acos(min(z + 2.0 / resolution, 1.0)),
-                  math.acos(max(z - 2.0 / resolution, 0.0)))
-        minimize_scalar(lambda th: negated(_unit(th)), bounds=bounds, method="bounded",
-                        options={"xatol": 1e-10, "maxiter": _POLAR_MAXITER})
+        z_hi, z_lo = min(z + 2.0 / resolution, 1.0), max(z - 2.0 / resolution, 0.0)
+        # the bounded polish never evaluates its ends, so a closing pole or
+        # equator is evaluated exactly here, out of the same budget
+        ends = [end for end, closes in ((np.array([0.0, 0.0, 1.0]), z_hi == 1.0),
+                                        (np.array([1.0, 0.0, 0.0]), z_lo == 0.0)) if closes]
+        for end in ends:
+            negated(end)
+        minimize_scalar(lambda th: negated(_unit(th)),
+                        bounds=(math.acos(z_hi), math.acos(z_lo)), method="bounded",
+                        options={"xatol": 1e-10, "maxiter": _POLAR_MAXITER - len(ends)})
     else:
         start = [math.acos(float(np.clip(z, -1.0, 1.0))),
                  math.atan2(float(best[2][1]), float(best[2][0]))]

@@ -1,7 +1,7 @@
 """Projective measurement of the total z magnetization.
 
 Covers the outcome distribution, the post-measurement state for exact and
-windowed outcomes, seeded single-shot sampling, and the closed form for the
+windowed outcomes, seeded sampling of shots, and the closed form for the
 two-step scenario where an x measurement precedes the z measurement.
 """
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import ContractViolationError, DomainError, ImpossibleOutcomeError
 from .spincore import (QuantumState, WindowState, ZDiagonal, _check_cap,
@@ -18,6 +17,13 @@ from .spincore import (QuantumState, WindowState, ZDiagonal, _check_cap,
                        total_magnetization)
 
 PROB_FLOOR = 1e-14
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+# Philox-4x64 round multipliers and key increments (Salmon et al., "Parallel
+# random numbers: as easy as 1, 2, 3", SC'11)
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 @dataclass(frozen=True)
@@ -95,17 +101,56 @@ def post_state(rho: QuantumState, spec: OutcomeSpec) -> QuantumState:
     return WindowState(rho, mask, 1.0 / prob)
 
 
-def sample_outcome(dist: OutcomeDistribution, seed: int) -> int:
-    """Draw one outcome; same seed, same draw, on any host."""
+def _mulhilo(a, b):
+    """Low and high 64-bit words of a * b, from 32-bit halves, so that one
+    body runs on ints and on uint64 arrays without overflow."""
+    a_lo, a_hi, b_lo, b_hi = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> 32) + (lh & _MASK32) + (hl & _MASK32)
+    return (((mid & _MASK32) << 32) | (ll & _MASK32),
+            a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32))
+
+
+def _philox_uniform(keys):
+    """Generator(Philox(key=k)).random() for each key, bit for bit.
+
+    That draw is word 0 of Philox-4x64-10 keyed (k, 0) at counter
+    (1, 0, 0, 0), keeping its top 53 bits. keys is an int in [0, 2**64) or
+    a uint64 array; a counter-based generator carries no state from one key
+    to the next, so an array is drawn in one vectorized pass.
+    """
+    x0, x1, x2, x3 = 1, 0, 0, 0
+    k0, k1 = keys, 0
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = (k0 + _PHILOX_BUMP[0]) & _MASK64, (k1 + _PHILOX_BUMP[1]) & _MASK64
+        lo0, hi0 = _mulhilo(x0, _PHILOX_MUL[0])
+        lo1, hi1 = _mulhilo(x2, _PHILOX_MUL[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return (x0 >> 11) * 2.0**-53
+
+
+def sample_outcomes(dist: OutcomeDistribution, seeds: int | np.ndarray):
+    """Draw one outcome per seed; same seed, same draw, on any host.
+
+    A seed's draw is u = Generator(Philox(key=seed mod 2**64)).random(), and
+    its outcome the first whose cumulative probability exceeds u times the
+    total. seeds is one int, giving one outcome, or an integer array, giving
+    an array of outcomes drawn in one pass.
+    """
     probs = np.asarray(dist.probs, dtype=float)
     total = probs.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise ContractViolationError("distribution has no probability mass")
-    gen = Generator(Philox(key=int(seed) & ((1 << 64) - 1)))
-    u = gen.random() * total
-    k = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    k = min(k, len(probs) - 1)
-    return int(dist.support[k])
+    keys = (int(seeds) & _MASK64 if np.ndim(seeds) == 0
+            else np.asarray(seeds).astype(np.uint64, copy=False))
+    k = np.searchsorted(np.cumsum(probs), _philox_uniform(keys) * total, side="right")
+    return dist.support[np.minimum(k, len(probs) - 1)]
+
+
+def sample_outcome(dist: OutcomeDistribution, seed: int) -> int:
+    """Draw one outcome: sample_outcomes for a single seed."""
+    return int(sample_outcomes(dist, seed))
 
 
 def double_projection_c(n: int, m_x: int, m_z: int) -> float:

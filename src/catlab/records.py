@@ -25,7 +25,10 @@ _MASK64 = (1 << 64) - 1
 
 
 def splitmix64(x: int) -> int:
-    """One step of the splitmix64 generator; a stable 64-bit bijection."""
+    """One step of the splitmix64 generator; a stable 64-bit bijection.
+
+    x is an int in [0, 2**64) or a uint64 array, which wraps the same way.
+    """
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -35,7 +38,8 @@ def splitmix64(x: int) -> int:
 def mix_seed(seed: int, index: int) -> int:
     """Derive the per-record seed from the configured seed and record index.
 
-    Stable across platforms and releases; changing it would silently break
+    index may be a uint64 array, giving every record's seed at once. Stable
+    across platforms and releases; changing it would silently break
     reproducibility of archived runs.
     """
     return splitmix64((seed & _MASK64) ^ splitmix64(index & _MASK64))

@@ -86,6 +86,53 @@ def test_convert_sampled_is_seed_deterministic(tmp_path, capsys):
     assert len({r["seed"] for r in rows}) == 5  # per-shot derived seeds differ
 
 
+# m_lo and seed of every row of a sampled convert (n = 6, betah = 1,
+# shots = 64, seed = 99), recorded with numpy's Generator(Philox(key=seed))
+# built once per shot
+_SAMPLED_M = [
+    -2, -4, 2, 0, 0, 4, -4, 4, -2, 2, 0, -2, 2, -2, -2, 6, -4, -4, -2, 0,
+    0, 0, 0, -4, -2, 0, 4, 0, 0, 0, 0, -2, 0, 0, 4, 0, 2, -2, -2, -2, 0, 2,
+    -2, 0, -2, 0, -2, 4, 2, -2, 2, 0, -4, 4, 2, 4, -2, -2, -2, -2, 2, 2, 0,
+    0,
+]
+_SAMPLED_SEEDS = [
+    7654031746014058981, 4938449432114577906, 7429787215549260381,
+    10743031015200810241, 10587956994047984722, 16491114306010228379,
+    11855393115662049859, 17307912314138778387, 10363727640957950584,
+    15668360119407216229, 10419037129475538570, 364892619214373889,
+    10719441966831531763, 11493237734502600000, 17932918691552326761,
+    2412583266187517545, 7436567656669067297, 9853130485750636562,
+    8626614380204051705, 5008102436499181575, 16026904627139000217,
+    9639126377024016882, 16925152143834228859, 502885646939010208,
+    6984763800241313631, 4982329502436505182, 9130914284313995488,
+    7043306553577135029, 7756343666559551247, 13092827392353228823,
+    781050246781001225, 12878860634049988623, 14607105364407951403,
+    6154659894799406026, 2144968655481501631, 3105163046155049014,
+    6364204811083862322, 4674928599363822780, 17351581723382347755,
+    10072038067360987061, 9067472194641337746, 63671316052809924,
+    10891912604220792788, 15129045074331746422, 9580106372554599176,
+    3907812357540353742, 7434286292990153851, 8858805310299576518,
+    6450474496189480475, 9566062798019494716, 2709173812756367596,
+    13840466235415208788, 7262771459233721720, 16782375997268194830,
+    17194025569833532024, 6629004100723035718, 13198349752070792108,
+    865422172802808584, 3751776640616466993, 15067678918216606032,
+    14053653767182900720, 15971573778607785020, 12535936280506949283,
+    15655700075453659016,
+]
+
+
+def test_convert_sampled_keeps_its_pinned_outcomes_and_seeds(tmp_path, capsys):
+    cfg = ini(tmp_path, "s.ini", "[convert]", "n = 6", "betah = 1.0",
+              "outcome = sampled", "shots = 64", "seed = 99")
+    out = str(tmp_path / "s.csv")
+    assert main(["convert", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    rows = read_csv(out)
+    assert [r["m_lo"] for r in rows] == _SAMPLED_M
+    assert [r["m_hi"] for r in rows] == _SAMPLED_M
+    assert [r["seed"] for r in rows] == _SAMPLED_SEEDS
+
+
 def test_convert_sampled_builds_the_state_once(tmp_path, capsys, monkeypatch):
     import catlab.cli
 

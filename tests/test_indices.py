@@ -533,6 +533,15 @@ def test_polar_search_polishes_a_one_or_two_angle_grid(resolution):
     assert report.a_used.site_coeffs[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("name", ["post_m0", "post_m2", "post_m4", "post_m6",
+                                  "rho_ex2_6", "rho_ex2_8"])
+def test_polar_search_reports_an_optimal_equator_exactly(name):
+    # the optimum is theta = pi/2, where the polish's bracket closes; the
+    # bounded polish never evaluates that end itself
+    report = observable_search(_COMMUTING[name][0]())
+    assert report.a_used.site_coeffs[0].tolist() == [1.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("resolution", [2, 64, 312])
 def test_polar_search_evaluation_count(monkeypatch, resolution):
     # the full-sphere search made about 424 form evaluations at resolution 312

@@ -6,10 +6,11 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from hypothesis import given, settings, strategies as st
 
 import denseref
-from catlab import cli
+from catlab import cli, measure
 from catlab.analysis import (averaged_identity_check, energy_moments_dense,
                              sufficient_conditions_check, transverse_moments)
 from catlab.errors import ImpossibleOutcomeError, InvalidOutcomeError
@@ -22,6 +23,7 @@ from catlab.measure import (
     outcome_probability,
     post_state,
     sample_outcome,
+    sample_outcomes,
 )
 from catlab.spincore import (QuantumState, SpectralState, additive_observable,
                              as_state, mz_projector, pauli_terms, pure_state,
@@ -126,6 +128,9 @@ def test_sample_outcome_deterministic_per_seed():
     assert first in set(dist.support)
     draws = {sample_outcome(dist, s) for s in range(40)}
     assert len(draws) > 1
+    batch = sample_outcomes(dist, np.array([12345, 12345, *range(40)]))
+    assert batch[0] == batch[1] == first
+    assert set(batch[2:].tolist()) == draws
 
 
 def test_sample_outcome_frequencies_track_probabilities():
@@ -134,8 +139,40 @@ def test_sample_outcome_frequencies_track_probabilities():
     shots = 4000
     for s in range(shots):
         counts[sample_outcome(dist, s)] += 1
+    batch = sample_outcomes(dist, np.arange(shots, dtype=np.uint64))
     for m, p in zip(dist.support, dist.probs):
         assert counts[m] / shots == pytest.approx(p, abs=0.03)
+        assert np.count_nonzero(batch == m) == counts[m]
+
+
+# reference draws of numpy's Generator(Philox(key=seed & (2**64 - 1))), one
+# Generator per seed
+_PINNED_SEEDS = [0, 1, 2, 3, 7, 42, 99, 12345, -1, -12345, 2**31, 2**32 + 5,
+                 2**53 + 1, 2**63, 2**63 + 17, 2**64 - 1, 2**64, 2**64 + 12345,
+                 3 * 2**64 + 7, 0xDEADBEEFCAFEBABE]
+_PINNED_DRAWS = [-6, -2, 0, 4, 2, 2, -4, 0, -2, 0, 2, -2, -4, 4, -4, -2, -6, 0, 2, 2]
+
+
+def test_sample_outcome_keeps_its_pinned_draws():
+    dist = outcome_distribution(free_gibbs(6, 1.0))
+    assert [sample_outcome(dist, s) for s in _PINNED_SEEDS] == _PINNED_DRAWS
+    # a seed outside [0, 2**64) is reduced mod 2**64 before it keys the draw
+    keys = np.array([s & ((1 << 64) - 1) for s in _PINNED_SEEDS], dtype=np.uint64)
+    assert sample_outcomes(dist, keys).tolist() == _PINNED_DRAWS
+
+
+def test_philox_draw_matches_numpy_generator_bit_for_bit():
+    rng = np.random.default_rng(20240611)
+    keys = np.concatenate([
+        rng.integers(0, 2**64 - 1, size=10_000, dtype=np.uint64, endpoint=True),
+        np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)])
+    want = np.array([Generator(Philox(key=int(k))).random() for k in keys])
+    got = measure._philox_uniform(keys)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # an int key runs the same arithmetic and gives the same bits
+    for k, w in zip(keys[-4:], want[-4:]):
+        assert np.float64(measure._philox_uniform(int(k))).view(np.uint64) == w.view(np.uint64)
 
 
 def test_double_projection_closed_matches_dense():

@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from catlab.records import (
@@ -129,3 +130,13 @@ def test_mix_seed_determinism_and_spread():
     assert mix_seed(42, 0) != mix_seed(43, 0)
     # negative python ints fold into the unsigned domain instead of crashing
     assert 0 <= mix_seed(-1, 3) <= MASK64
+
+
+def test_mix_seed_over_an_index_array_matches_the_int_form():
+    index = np.arange(2000, dtype=np.uint64)
+    for seed in (0, 42, -1, MASK64, 1 << 64):
+        mixed = mix_seed(seed, index)
+        assert mixed.dtype == np.uint64
+        assert mixed.tolist() == [mix_seed(seed, k) for k in range(2000)]
+    edges = np.array([0, 1, 1 << 63, MASK64], dtype=np.uint64)
+    assert splitmix64(edges).tolist() == [splitmix64(int(k)) for k in edges]

@@ -371,6 +371,18 @@ def test_no_caller_reads_a_state_through_its_dense_matrix():
     assert found == []
 
 
+def test_no_module_builds_a_philox_generator_per_draw():
+    # measure draws every Philox output itself, in one vectorized pass;
+    # numpy's Philox is only the reference the tests compare it with
+    found = []
+    for path in sorted(Path(spincore.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "Philox"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
 def test_as_state_validates_input():
     good = np.eye(4) / 4.0
     state = as_state(good)
