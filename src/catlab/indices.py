@@ -28,11 +28,12 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ContractViolationError, DomainError
-from .spincore import (AdditiveObservable, Operator, QuantumState, ZDiagonal,
-                       _check_cap, _check_outcome_parity, _herm_eigh,
-                       additive_observable, double_commutator, mz_values,
-                       pauli_terms, pure_state, snap_interval,
-                       total_magnetization, trace_norm, uniform_observable)
+from .spincore import (AdditiveObservable, FactoredState, Operator,
+                       QuantumState, ZDiagonal, _check_cap,
+                       _check_outcome_parity, _herm_eigh, additive_observable,
+                       double_commutator, mz_values, pauli_terms, pure_state,
+                       snap_interval, total_magnetization, trace_norm,
+                       uniform_observable)
 from .thermal import _log_binom, interval_r_count
 
 SEARCH_RESOLUTION = 312
@@ -172,25 +173,30 @@ def q_functional(rho: QuantumState, a: AdditiveObservable) -> float:
 
 
 def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray, bool]:
-    """rho = V diag(w) V^dagger over the weights above _EIG_FLOOR, and whether
-    rho commutes with M_z.
+    """rho = V diag(w) V^dagger over the weights above _EIG_FLOOR, ascending,
+    and whether rho commutes with M_z.
 
-    The eigensolve runs on the indices where rho has a nonzero entry in the
+    A FactoredState gives its own factors, with no eigensolve. Any other
+    state is eigensolved on the indices where rho has a nonzero entry in the
     row or the column. That is exact, since a zero row of a positive
     semidefinite matrix is a kernel vector, and it keeps every nonzero entry
     inside the block that is checked for hermiticity. The eigenvectors are
     scattered back to length 2^n; they are real when that block is. rho
     commutes with M_z exactly when the block has no nonzero entry between
-    two magnetization sectors. A state supported on fewer than 2^n rows is
-    read through entries(), so its dense matrix is never built.
+    two magnetization sectors. A factored state, or one supported on fewer
+    than 2^n rows, is read through entries(), so no dense matrix is built.
     """
     rows = rho.support()
-    mat = rho.entries(rows[:, None], rows) if rows.size < rho.dim else rho.mat
+    factored = isinstance(rho, FactoredState)
+    mat = rho.entries(rows[:, None], rows) if factored or rows.size < rho.dim else rho.mat
     nonzero = mat != 0
     keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     block, support = mat[np.ix_(keep, keep)], rows[keep]
     sectors = mz_values(rho.n)[support]
     commutes = not (nonzero[np.ix_(keep, keep)] & (sectors[:, None] != sectors)).any()
+    if factored:
+        sel = rho.weights > _EIG_FLOOR
+        return rho.weights[sel], rho.vecs[:, sel], commutes
     w, v = _herm_eigh(block, "state")
     sel = w > _EIG_FLOOR
     vecs = np.zeros((rho.dim, int(sel.sum())), dtype=v.dtype)
@@ -358,7 +364,8 @@ def vcm(pure: QuantumState) -> VcmMatrix:
     if pure.purity <= 1.0 - PURITY_PURE_TOL:
         raise ContractViolationError(
             f"VCM needs a pure state, got purity {pure.purity:.12f}")
-    return _vcm_of(_state_factors(pure)[1][:, -1], pure.n)
+    vecs = pure.vecs if isinstance(pure, FactoredState) else _state_factors(pure)[1]
+    return _vcm_of(vecs[:, -1], pure.n)
 
 
 def _vcm_of(psi: np.ndarray, n: int) -> VcmMatrix:
@@ -422,18 +429,19 @@ def _flipped_pair(n: int, site: int) -> tuple[int, int]:
     return i0, (dim - 1) ^ i0
 
 
-def fixture_states(kind: str, n: int) -> QuantumState:
-    """Reference states used throughout the index tests.
+def fixture_states(kind: str, n: int) -> FactoredState:
+    """Reference states used throughout the index tests, each kept as its
+    orthonormal columns and weights (a FactoredState of rank <= n).
 
     cat_plus/cat_minus: (|up..up> +/- |down..down>)/sqrt(2).
     rho_ex1: equal mixture over i of (|0_i> + |1_i>)/sqrt(2), where |0_i>
         flips site i against the aligned background and |1_i> is its global
-        complement.
+        complement. At n = 2 the two pairs coincide, so the state is pure.
     rho_ex2: the even classical mixture of the two aligned product states.
     rho_ex3: for n divisible by 3, mixture of (|i> + |comp i>)/sqrt(2) over
-        i = 1..n/3 with |i> the contiguous block of i flipped spins.
+        i = 1..n/3 with |i> the contiguous block of the last i spins flipped.
     psi1: sqrt(1 - 1/n)|up..up> + sqrt(1/n)|down..down>.
-    psi2: equal superposition of the n+1 staircase states |d^k u^(n-k)>.
+    psi2: equal superposition of the n+1 staircase states |u^(n-k) d^k>.
     """
     if kind not in FIXTURE_KINDS:
         raise DomainError(f"unknown fixture kind {kind!r}")
@@ -443,42 +451,27 @@ def fixture_states(kind: str, n: int) -> QuantumState:
     if kind == "rho_ex3" and n % 3:
         raise DomainError("rho_ex3 needs n divisible by 3")
     dim = 1 << n
-
-    if kind in ("cat_plus", "cat_minus"):
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = 1.0
-        vec[dim - 1] = 1.0 if kind == "cat_plus" else -1.0
-        return pure_state(vec)
-
-    if kind == "rho_ex2":
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[0, 0] = 0.5
-        mat[dim - 1, dim - 1] = 0.5
-        return QuantumState(mat)
-
-    if kind in ("rho_ex1", "rho_ex3"):
-        # an equal mixture of (|s> + |comp s>)/sqrt(2) over the states s
-        if kind == "rho_ex1":
-            states = [1 << (n - site) for site in range(1, n + 1)]
-        else:
-            states = [(1 << i) - 1 for i in range(1, n // 3 + 1)]
-        mat = np.zeros((dim, dim), dtype=complex)
-        for s in states:
-            vec = np.zeros(dim, dtype=complex)
-            vec[s] = vec[(dim - 1) ^ s] = 1.0 / math.sqrt(2.0)
-            mat += np.outer(vec, vec.conj()) / len(states)
-        return QuantumState(mat)
-
-    if kind == "psi1":
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = math.sqrt(1.0 - 1.0 / n)
-        vec[dim - 1] = math.sqrt(1.0 / n)
-        return pure_state(vec)
-
     vec = np.zeros(dim, dtype=complex)
-    for k in range(n + 1):
-        vec[(1 << k) - 1] = 1.0
-    return pure_state(vec)
+    if kind in ("cat_plus", "cat_minus", "psi1"):
+        vec[0], vec[dim - 1] = {"cat_plus": (1.0, 1.0), "cat_minus": (1.0, -1.0),
+                                "psi1": (math.sqrt(1.0 - 1.0 / n), math.sqrt(1.0 / n))}[kind]
+        return pure_state(vec)
+    if kind == "psi2":
+        vec[(1 << np.arange(n + 1)) - 1] = 1.0
+        return pure_state(vec)
+
+    # an equal mixture, one column per equal superposition of a group of states
+    if kind == "rho_ex2":
+        groups = [(0,), (dim - 1,)]
+    else:
+        flips = ([1 << (n - site) for site in range(1, n + 1)] if kind == "rho_ex1"
+                 else [(1 << i) - 1 for i in range(1, n // 3 + 1)])
+        # (|s> + |comp s>)/sqrt(2) once per pair: rho_ex1's two coincide at n = 2
+        groups = sorted({tuple(sorted((s, (dim - 1) ^ s))) for s in flips})
+    vecs = np.zeros((dim, len(groups)), dtype=complex)
+    for k, group in enumerate(groups):
+        vecs[list(group), k] = 1.0 / math.sqrt(len(group))
+    return FactoredState(vecs, np.full(len(groups), 1.0 / len(groups)))
 
 
 def witness_w(n: int) -> Operator:

@@ -29,8 +29,9 @@ through QuantumState.entries(rows, cols), and a kernel trace reads only the
 rows in support(). A state built from such a spectrum (SpectralState) keeps
 it and its weights and gathers entries from the rows at the orbit
 representatives; a measured state (WindowState) keeps its block on the
-measured window. Magnetization projectors are kept as their diagonal
-(ZDiagonal). All three build their dense view only on request.
+measured window; a pure state or a low-rank mixture (FactoredState) keeps
+its orthonormal columns and weights. Magnetization projectors are kept as
+their diagonal (ZDiagonal). All four build their dense view only on request.
 
 Basis convention, shared by all modules: computational z basis, ordered
 lexicographically with site 1 as the most significant tensor factor, and
@@ -332,6 +333,53 @@ class WindowState(QuantumState):
         return out
 
 
+class FactoredState(QuantumState):
+    """V diag(w) V^dagger, kept as its orthonormal columns V (d x r) and its
+    weights w >= 0 (summing to 1), both in ascending order of weight. A read
+    of a rows x cols block is one (rows x r)(r x cols) product, purity is the
+    sum of w^2, and .mat is built on first access only.
+    """
+
+    def __init__(self, vecs: np.ndarray, weights: np.ndarray):
+        weights = np.asarray(weights, dtype=float)
+        if vecs.ndim != 2 or weights.shape != (vecs.shape[1],):
+            raise ContractViolationError("a factored state needs d x r columns and r weights")
+        gram = vecs.conj().T @ vecs
+        if float(np.abs(gram - np.eye(weights.size)).max(initial=0.0)) > HERM_TOL:
+            raise ContractViolationError("factored state columns are not orthonormal")
+        if weights.min(initial=0.0) < 0.0 or abs(weights.sum() - 1.0) > 1e-12:
+            raise ContractViolationError("factored state weights must be >= 0 and sum to 1")
+        order = np.argsort(weights, kind="stable")
+        object.__setattr__(self, "vecs", vecs[:, order])
+        object.__setattr__(self, "weights", weights[order])
+
+    def __repr__(self) -> str:
+        return f"FactoredState(dim={self.dim}, rank={self.weights.size})"
+
+    @property
+    def dim(self) -> int:
+        return self.vecs.shape[0]
+
+    @cached_property
+    def purity(self) -> float:
+        return float((self.weights ** 2).sum())
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        left, right = self.vecs[rows] * self.weights, self.vecs[cols].conj()
+        if rows.ndim == 2 and rows.shape[1] == 1 and cols.ndim == 1:
+            return left[:, 0] @ right.T
+        # any other broadcast sums over the columns without a rows x cols x r array
+        return np.einsum("...k,...k->...", left, right)
+
+    def support(self) -> np.ndarray:
+        return np.flatnonzero((self.vecs != 0).any(axis=1))
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        return (self.vecs * self.weights) @ self.vecs.conj().T
+
+
 def as_state(mat: np.ndarray) -> QuantumState:
     """Wrap a density matrix, verifying trace, hermiticity and PSD.
 
@@ -355,14 +403,13 @@ def check_state(state: QuantumState) -> None:
             f"state has eigenvalue {evals.min():.3e} below the PSD floor")
 
 
-def pure_state(vec: np.ndarray) -> QuantumState:
-    """Density matrix of a normalized state vector."""
+def pure_state(vec: np.ndarray) -> FactoredState:
+    """Density matrix of a normalized state vector, kept as that one column."""
     vec = np.asarray(vec, dtype=complex)
     nrm = np.linalg.norm(vec)
     if not np.isfinite(nrm) or nrm < 1e-300:
         raise ContractViolationError("cannot normalize a null vector")
-    vec = vec / nrm
-    return QuantumState(np.outer(vec, vec.conj()))
+    return FactoredState((vec / nrm)[:, None], np.ones(1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -106,3 +106,44 @@ def random_density_matrix(n, rng, rank=None):
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def fixture_dense(kind, n):
+    """A catlab reference state as a dense density matrix, from its definition.
+
+    Index 0 is all spins up and 2^n - 1 all down; flipping site s toggles
+    the bit 2^(n - s). rho_ex1 mixes (|0_i> + |1_i>)/sqrt(2) over the sites
+    i, |0_i> flipping site i and |1_i> its global complement; rho_ex3 mixes
+    (|i> + |comp i>)/sqrt(2) for i = 1..n/3, |i> flipping the last i sites;
+    psi2 superposes the n + 1 staircase states that flip the last k sites.
+    """
+    dim = 2**n
+    full = dim - 1
+
+    def proj(amps):
+        vec = np.zeros(dim, dtype=complex)
+        for index, amp in amps:
+            vec[index] += amp
+        vec /= np.linalg.norm(vec)
+        return np.outer(vec, vec.conj())
+
+    def last(k):
+        return sum(2**(n - s) for s in range(n - k + 1, n + 1))
+
+    if kind == "cat_plus":
+        return proj([(0, 1.0), (full, 1.0)])
+    if kind == "cat_minus":
+        return proj([(0, 1.0), (full, -1.0)])
+    if kind == "psi1":
+        return proj([(0, np.sqrt(1.0 - 1.0 / n)), (full, np.sqrt(1.0 / n))])
+    if kind == "psi2":
+        return proj([(last(k), 1.0) for k in range(n + 1)])
+    if kind == "rho_ex2":
+        return 0.5 * (proj([(0, 1.0)]) + proj([(full, 1.0)]))
+    if kind == "rho_ex1":
+        flips = [2**(n - site) for site in range(1, n + 1)]
+    elif kind == "rho_ex3":
+        flips = [last(i) for i in range(1, n // 3 + 1)]
+    else:
+        raise ValueError(kind)
+    return sum(proj([(s, 1.0), (full - s, 1.0)]) for s in flips) / len(flips)

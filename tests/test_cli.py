@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from catlab import cli
 from catlab.cli import main
 from catlab.config import _MODE_KEYS, MODES, ExperimentConfig, load_config
 from catlab.errors import UsageError
@@ -436,6 +438,21 @@ def test_sweep_fixture_source_exponent(tmp_path, capsys):
     capsys.readouterr()
     q = read_csv(out)[0]["q_fit"]
     assert 0.95 <= q <= 1.05
+
+
+def test_fixture_sweep_row_builds_no_dense_matrix(tmp_path):
+    # the rho_ex1 row at n = 10 traced 32 MB when the fixture was a dense
+    # 1024 x 1024 complex matrix; kept as its 10 columns it traces about 8 MB
+    cfg = load_config(ini(tmp_path, "s.ini", "[sweep]", "n_list = 6, 8, 10",
+                          "source = rho_ex1"), "sweep")
+    tracemalloc.start()
+    try:
+        row = cli._sweep_row((cfg, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["c_dense"] == pytest.approx(128.0, rel=1e-10)
+    assert peak <= 12 * 2**20
 
 
 def test_interval_closed_form_only_scales_past_dense_cap(tmp_path, capsys):

@@ -12,7 +12,7 @@ from scipy.special import comb
 
 import denseref
 from catlab import indices
-from catlab.errors import ContractViolationError, DomainError
+from catlab.errors import ContractViolationError, DomainError, ImpossibleOutcomeError
 from catlab.indices import (
     _catness_form,
     _state_factors,
@@ -31,12 +31,14 @@ from catlab.indices import (
 )
 from catlab.measure import OutcomeSpec, post_state
 from catlab.spincore import (
+    FactoredState,
     QuantumState,
     additive_observable,
     as_state,
     herm_expm,
     mz_interval_projector,
     mz_projector,
+    pure_state,
     total_magnetization,
     trace_norm,
     unitary_evolution,
@@ -306,6 +308,105 @@ def test_state_factors_restrict_to_the_support():
     off = np.setdiff1d(np.arange(16), support)
     assert np.all(vecs[off] == 0)
     np.testing.assert_allclose((vecs * weights) @ vecs.conj().T, mat, atol=1e-14)
+
+
+_FIXTURE_CASES = ([(kind, n) for kind in indices.FIXTURE_KINDS if kind != "rho_ex3"
+                   for n in range(2, 9)] + [("rho_ex3", 3), ("rho_ex3", 6)])
+
+
+@pytest.mark.parametrize("kind, n", _FIXTURE_CASES)
+def test_factored_fixture_matches_its_dense_definition(kind, n):
+    rho, want = fixture_states(kind, n), denseref.fixture_dense(kind, n)
+    assert isinstance(rho, FactoredState)
+    every = np.arange(1 << n)
+    np.testing.assert_allclose(rho.entries(every[:, None], every), want, rtol=0, atol=1e-12)
+    # the elementwise read, as PauliTerms.expect makes it
+    np.testing.assert_allclose(rho.entries(every, every ^ 3), want[every, every ^ 3],
+                               rtol=0, atol=1e-12)
+    assert rho.purity == pytest.approx(np.vdot(want, want).real, rel=0, abs=1e-12)
+    assert rho.support().tolist() == np.flatnonzero(np.abs(want).sum(axis=1)).tolist()
+    assert "mat" not in vars(rho)
+    np.testing.assert_allclose(rho.mat, want, rtol=0, atol=1e-12)
+
+
+def test_rho_ex1_at_two_sites_is_one_column():
+    # both flipped pairs are {|01>, |10>}, so the mixture is a pure state
+    rho = fixture_states("rho_ex1", 2)
+    assert rho.weights.tolist() == [1.0]
+    assert rho.purity == 1.0
+
+
+def test_factored_pure_state_matches_its_outer_product():
+    rng = np.random.default_rng(5)
+    vec = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    rho = pure_state(vec)
+    unit = vec / np.linalg.norm(vec)
+    want = np.outer(unit, unit.conj())
+    every = np.arange(64)
+    np.testing.assert_allclose(rho.entries(every[:, None], every), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rho.diagonal(), np.diag(want), rtol=0, atol=1e-12)
+    assert rho.purity == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert rho.support().tolist() == every.tolist()
+    np.testing.assert_allclose(rho.mat, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", indices.FIXTURE_KINDS)
+def test_post_state_of_a_factored_fixture_matches_the_dense_projection(kind):
+    n = 6 if kind == "rho_ex3" else 8
+    rho, dense = fixture_states(kind, n), denseref.fixture_dense(kind, n)
+    specs = ([OutcomeSpec.exact(m) for m in range(-n, n + 1, 2)]
+             + [OutcomeSpec.interval(lo, hi) for lo, hi in ((-4, 4), (-n, 0), (2, n))])
+    for spec in specs:
+        proj = denseref.sector_projector(n, spec.m_lo, spec.m_hi)
+        if np.trace(proj @ dense).real <= 1e-14:
+            with pytest.raises(ImpossibleOutcomeError):
+                post_state(rho, spec)
+            continue
+        want, _ = denseref.project(dense, proj)
+        np.testing.assert_allclose(post_state(rho, spec).mat, want, rtol=0, atol=1e-12)
+    assert "mat" not in vars(rho)
+
+
+def _one_sector_pure(n=6, m=0):
+    rng = np.random.default_rng(13)
+    vec = np.where(denseref.mz_eigenvalues(n) == m,
+                   rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n), 0.0)
+    return pure_state(vec)
+
+
+def test_state_factors_of_a_factored_state_run_no_eigensolve(monkeypatch):
+    states = {kind: fixture_states(kind, 6) for kind in indices.FIXTURE_KINDS}
+    states["one_sector"] = _one_sector_pure()
+    calls = []
+    herm_eigh = indices._herm_eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return herm_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(indices, "_herm_eigh", counting)
+    got = {name: _state_factors(rho) for name, rho in states.items()}
+    assert calls == []
+    monkeypatch.undo()
+    for name in ("rho_ex2", "one_sector"):
+        assert got[name][2] is True
+    for name in ("rho_ex1", "cat_plus", "psi2"):
+        assert got[name][2] is False
+    for name, (weights, vecs, commutes) in got.items():
+        # the eigensolve of the dense matrix agrees on weights and commutation
+        dense_w, _, dense_commutes = _state_factors(as_state(states[name].mat))
+        np.testing.assert_allclose(weights, dense_w, rtol=0, atol=1e-12)
+        assert commutes == dense_commutes
+        assert np.all(np.diff(weights) >= 0.0)
+        np.testing.assert_allclose((vecs * weights) @ vecs.conj().T, states[name].mat,
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", indices.FIXTURE_KINDS)
+def test_search_on_a_fixture_never_builds_its_dense_matrix(kind):
+    rho = fixture_states(kind, 9 if kind == "rho_ex3" else 10)
+    observable_search(rho)
+    assert "mat" not in rho.__dict__
 
 
 def test_fixture_state_shapes_and_purity():

@@ -12,6 +12,7 @@ from catlab import spincore
 from catlab.errors import CapacityError, ContractViolationError, InvalidOutcomeError
 from catlab.spincore import (
     DENSE_CAP,
+    FactoredState,
     PauliTerms,
     _symmetry_group,
     additive_observable,
@@ -369,6 +370,52 @@ def test_no_caller_reads_a_state_through_its_dense_matrix():
                     or (not dense_ok and func == "np.where" and on_mat)):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
+
+
+def test_no_low_rank_state_is_built_as_a_dense_matrix():
+    # fixtures and pure states are kept as their factors (FactoredState).
+    # witness_w is exempt: it builds the dense Operator that the oracle
+    # reads, so indices.py as a whole keeps one np.zeros((dim, dim))
+    def is_square(node):
+        return (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                and ast.unparse(node.elts[0]) == ast.unparse(node.elts[1]))
+
+    seen, found = [], []
+    for path in sorted(Path(spincore.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(func, ast.FunctionDef)
+                    and func.name in ("fixture_states", "pure_state")):
+                continue
+            seen.append(func.name)
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.unparse(node.func)
+                if name == "np.outer" or (name == "np.zeros" and node.args
+                                          and is_square(node.args[0])):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert sorted(seen) == ["fixture_states", "pure_state"]
+    assert found == []
+
+
+def test_factored_state_rejects_invalid_factors():
+    cols = np.eye(4, 2, dtype=complex)
+    state = FactoredState(cols, np.array([0.75, 0.25]))
+    # kept in ascending order of weight
+    assert state.weights.tolist() == [0.25, 0.75]
+    np.testing.assert_array_equal(state.vecs[:, 1], cols[:, 0])
+    assert state.purity == 0.625
+    with pytest.raises(ContractViolationError, match="orthonormal"):
+        FactoredState(cols * 1.001, np.array([0.5, 0.5]))
+    with pytest.raises(ContractViolationError, match="orthonormal"):
+        FactoredState(np.array([[1.0, 1.0], [0.0, 1.0]]) / np.sqrt([1.0, 2.0]),
+                      np.array([0.5, 0.5]))
+    with pytest.raises(ContractViolationError, match=">= 0"):
+        FactoredState(cols, np.array([1.5, -0.5]))
+    with pytest.raises(ContractViolationError, match="sum to 1"):
+        FactoredState(cols, np.array([0.5, 0.4]))
+    with pytest.raises(ContractViolationError):
+        FactoredState(cols, np.array([1.0]))
 
 
 def test_no_module_builds_a_philox_generator_per_draw():
