@@ -18,8 +18,7 @@ from .indices import c_closed_form_free, expect_c, fit_exponent, optimal_witness
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state)
 from .spincore import (QuantumState, WindowState, _bit_table, _herm_eigh,
-                       double_commutator, mz_projector, mz_values,
-                       total_magnetization)
+                       mz_projector, mz_values, total_magnetization)
 from .thermal import SpinHamiltonian, gibbs_state, log_interval_partition_post
 
 SECTOR_TOL = 1e-9
@@ -109,23 +108,21 @@ def symmetry_even_in_h(build_ham, betah_grid, m: int = 0) -> SymmetryReport:
     relative evenness residuals of the sector weight and the catness value,
     plus the worst-case defect of the exact pi-rotation identity
     H(-h) = R_z H(h) R_z^dagger. R_z is prod sigma_z up to a global phase
-    that cancels, so the conjugation multiplies entry (k, l) by the z
-    parities of k and l. Nothing is asserted: a symmetry-breaking control
+    that cancels, so the conjugation multiplies the kernel term of H on flip
+    mask f by (-1)^|f|. Nothing is asserted: a symmetry-breaking control
     term is expected to show up here.
     """
     grid = tuple(float(g) for g in betah_grid)
     z_res, c_res = [], []
     rz_defect = 0.0
     for g in grid:
-        ham_p = build_ham(g)
-        ham_m = build_ham(-g)
+        ham_p, ham_m = build_ham(g), build_ham(-g)
         n = ham_p.n
-        parity = _bit_table(n)[1].prod(axis=0)
-        hp = ham_p.realize().mat
-        hm = ham_m.realize().mat
-        scale = 1.0 + float(np.abs(hp).max())
-        flipped = parity[:, None] * hp * parity[None, :]
-        rz_defect = max(rz_defect, float(np.abs(hm - flipped).max()) / scale)
+        plus, minus = ham_p.terms().flips, ham_m.terms().flips
+        scale = 1.0 + max((float(np.abs(amp).max()) for amp in plus.values()), default=0.0)
+        for f in plus.keys() | minus.keys():
+            diff = minus.get(f, 0.0) - (-1) ** f.bit_count() * plus.get(f, 0.0)
+            rz_defect = max(rz_defect, float(np.abs(diff).max()) / scale)
 
         spec = OutcomeSpec.exact(m)
         pair = []
@@ -334,29 +331,6 @@ class PauliDecomposition:
         return (self.n * self.n - self.n) // 2 + 1
 
 
-def _extract_strings(mat: np.ndarray, scale: float) -> list[tuple[str, float]]:
-    out: list[tuple[str, float]] = []
-
-    def walk(block: np.ndarray, prefix: str) -> None:
-        if float(np.abs(block).max()) <= 1e-12 * scale:
-            return
-        if block.shape[0] == 1:
-            out.append((prefix, float(block[0, 0].real)))
-            return
-        half = block.shape[0] // 2
-        b00 = block[:half, :half]
-        b01 = block[:half, half:]
-        b10 = block[half:, :half]
-        b11 = block[half:, half:]
-        walk(0.5 * (b00 + b11), prefix + "i")
-        walk(0.5 * (b01 + b10), prefix + "x")
-        walk(0.5j * (b01 - b10), prefix + "y")
-        walk(0.5 * (b00 - b11), prefix + "z")
-
-    walk(mat, "")
-    return out
-
-
 def _merge_setting(setting: str, string: str) -> str | None:
     merged = []
     for s, c in zip(setting, string):
@@ -372,13 +346,28 @@ def _merge_setting(setting: str, string: str) -> str | None:
 def pauli_decomposition_c(n: int, m: int) -> PauliDecomposition:
     """Decompose [Mx, [Mx, P_m]] into Pauli strings and group them.
 
-    Grouping is greedy first-fit over strings sorted by decreasing weight,
-    which lands on (n^2 - n)/2 + 1 settings or fewer: one joint setting per
-    site pair plus the all-longitudinal one.
+    The kernel witness is sum_f X^f diag(amp_f). The string with X bits f
+    and Z bits z (y where both are set, site 1 the most significant bit) has
+    the coefficient (-i)^|f & z| 2^-n sum_k amp_f[k] (-1)^|k & z|, a fast
+    Walsh-Hadamard transform, kept above 1e-12 times the witness's largest
+    entry. Greedy first-fit grouping, by decreasing weight, lands on at most
+    (n^2 - n)/2 + 1 settings: one per site pair plus the all-longitudinal one.
     """
-    c_op = double_commutator(total_magnetization("x", n), mz_projector(n, m)).mat
-    scale = max(float(np.abs(c_op).max()), 1e-300)
-    raw = _extract_strings(c_op, scale)
+    flips = total_magnetization("x", n).terms().double_commutator(
+        mz_projector(n, m).terms()).flips
+    amps = np.array([np.broadcast_to(amp, 1 << n) for amp in flips.values()])
+    scale = max(float(np.abs(amps).max(initial=0.0)), 1e-300)
+    walsh = amps.reshape(-1, *(2,) * n)
+    for axis in range(1, n + 1):  # one butterfly per site: O(n d) for every z at once
+        lo, hi = np.split(walsh, 2, axis=axis)
+        walsh = np.concatenate((lo + hi, lo - hi), axis=axis)
+    walsh = walsh.reshape(len(flips), -1) / (1 << n)
+    row, z = np.nonzero(np.abs(walsh) > 1e-12 * scale)
+    f = np.array(list(flips), dtype=np.int64)[row]
+    coef = (walsh[row, z] * np.array([1, -1j, -1, 1j])[np.bitwise_count(f & z) % 4]).real
+    bits = np.arange(n - 1, -1, -1)
+    codes = ((f[:, None] >> bits) & 1) + 2 * ((z[:, None] >> bits) & 1)
+    raw = [("".join(chars), float(c)) for chars, c in zip(np.array(list("ixzy"))[codes], coef)]
     order = sorted(range(len(raw)),
                    key=lambda k: (-sum(ch != "i" for ch in raw[k][0]), raw[k][0]))
     terms = tuple(raw[k] for k in order)

@@ -28,8 +28,8 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ContractViolationError, DomainError
-from .spincore import (AdditiveObservable, FactoredState, Operator,
-                       QuantumState, ZDiagonal, _check_cap,
+from .spincore import (_GATHER_CHUNK, AdditiveObservable, FactoredState,
+                       Operator, QuantumState, ZDiagonal, _check_cap,
                        _check_outcome_parity, _herm_eigh, additive_observable,
                        double_commutator, mz_values, pauli_terms, pure_state,
                        snap_interval, total_magnetization, trace_norm,
@@ -92,20 +92,16 @@ class VcmMatrix:
 def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
     """Tr[rho [A, [A, eta]]], the catness of rho witnessed by (A, eta).
 
-    A z-diagonal eta (every outcome projector) goes through the
-    bit-operation kernel, which reads O(n^2 d) entries of rho and forms no
-    d x d product; any other eta goes through the kernel double commutator.
+    For a z-diagonal eta (every outcome projector) C is one kernel
+    PauliTerms.double_commutator, whose expect reads O(n^2 d) entries of rho
+    and forms no d x d product; any other eta takes the dense one.
     """
     if isinstance(eta, ZDiagonal):
         if eta.dim != rho.dim or a.n != rho.n:
             raise ContractViolationError("expect_c dimension mismatch")
-        at, et = a.terms(), eta.terms()
-        ae = at @ et
-        val = ((at @ ae).expect(rho) - 2.0 * (ae @ at).expect(rho)
-               + (et @ (at @ at)).expect(rho))
+        val = a.terms().double_commutator(eta.terms()).expect(rho)
     else:
-        c_op = double_commutator(a, eta)
-        val = complex(np.einsum("ij,ji->", rho.mat, c_op.mat))
+        val = complex(np.einsum("ij,ji->", rho.mat, double_commutator(a, eta).mat))
     scale = 1.0 + abs(val)
     if abs(val.imag) > 1e-10 * scale:
         raise ContractViolationError(f"catness value has imaginary part {val.imag:.3e}")
@@ -174,29 +170,31 @@ def q_functional(rho: QuantumState, a: AdditiveObservable) -> float:
 
 def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray, bool]:
     """rho = V diag(w) V^dagger over the weights above _EIG_FLOOR, ascending,
-    and whether rho commutes with M_z.
+    and whether rho commutes with M_z: whether its support block has no
+    nonzero entry between two magnetization sectors.
 
-    A FactoredState gives its own factors, with no eigensolve. Any other
-    state is eigensolved on the indices where rho has a nonzero entry in the
-    row or the column. That is exact, since a zero row of a positive
-    semidefinite matrix is a kernel vector, and it keeps every nonzero entry
-    inside the block that is checked for hermiticity. The eigenvectors are
-    scattered back to length 2^n; they are real when that block is. rho
-    commutes with M_z exactly when the block has no nonzero entry between
-    two magnetization sectors. A factored state, or one supported on fewer
-    than 2^n rows, is read through entries(), so no dense matrix is built.
+    A FactoredState gives its own factors, with no eigensolve, and its block
+    is scanned in row chunks of at most _GATHER_CHUNK entries. Any other
+    state is eigensolved where rho has a nonzero row or column: exact, as a
+    zero row of a positive semidefinite matrix is a kernel vector, and every
+    nonzero entry stays in the block checked for hermiticity. Eigenvectors,
+    scattered back to length 2^n, are real when that block is; a state on
+    fewer than 2^n rows is read through entries(), not .mat.
     """
     rows = rho.support()
-    factored = isinstance(rho, FactoredState)
-    mat = rho.entries(rows[:, None], rows) if factored or rows.size < rho.dim else rho.mat
+    if isinstance(rho, FactoredState):
+        sectors, step = mz_values(rho.n)[rows], max(1, _GATHER_CHUNK // rows.size)
+        commutes = not any(((rho.entries(rows[lo:lo + step, None], rows) != 0)
+                            & (sectors[lo:lo + step, None] != sectors)).any()
+                           for lo in range(0, rows.size, step))
+        sel = rho.weights > _EIG_FLOOR
+        return rho.weights[sel], rho.vecs[:, sel], commutes
+    mat = rho.entries(rows[:, None], rows) if rows.size < rho.dim else rho.mat
     nonzero = mat != 0
     keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     block, support = mat[np.ix_(keep, keep)], rows[keep]
     sectors = mz_values(rho.n)[support]
     commutes = not (nonzero[np.ix_(keep, keep)] & (sectors[:, None] != sectors)).any()
-    if factored:
-        sel = rho.weights > _EIG_FLOOR
-        return rho.weights[sel], rho.vecs[:, sel], commutes
     w, v = _herm_eigh(block, "state")
     sel = w > _EIG_FLOOR
     vecs = np.zeros((rho.dim, int(sel.sum())), dtype=v.dtype)

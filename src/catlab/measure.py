@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError, ImpossibleOutcomeError
-from .spincore import (QuantumState, WindowState, ZDiagonal, _check_cap,
-                       _check_outcome_parity, _window_mask, double_commutator,
+from .indices import expect_c
+from .spincore import (FactoredState, QuantumState, WindowState, ZDiagonal,
+                       _check_cap, _check_outcome_parity, _window_mask,
                        mz_interval_projector, mz_projector, mz_values,
                        total_magnetization)
 
@@ -167,17 +168,17 @@ def double_projection_c(n: int, m_x: int, m_z: int) -> float:
 
 
 def double_projection_dense(n: int, m_x: int, m_z: int) -> float:
-    """Dense companion of double_projection_c, evaluated end to end."""
+    """Dense companion of double_projection_c, evaluated end to end.
+
+    The normalized x-sector projector is a FactoredState of the rotated
+    states H^n |k> for M_z(k) = m_x, whose entry on |s> is (-1)^|s & k| / 2^(n/2).
+    Its M_z = m_z window is read by expect_c, through the kernel witness.
+    """
     _check_cap(n)
     _check_outcome_parity(n, m_x)
     _check_outcome_parity(n, m_z)
-    # Hadamard-rotate the z-sector projector to get the x-sector one
-    had = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    rot = np.array([[1.0]], dtype=complex)
-    for _ in range(n):
-        rot = np.kron(rot, had)
-    px = rot @ mz_projector(n, m_x).mat @ rot.conj().T
-    rho = px / np.trace(px).real
-    post = post_state(QuantumState(rho), OutcomeSpec.exact(m_z))
-    c_op = double_commutator(total_magnetization("x", n), mz_projector(n, m_z))
-    return float(np.einsum("ij,ji->", post.mat, c_op.mat).real)
+    idx, ks = np.arange(1 << n), np.flatnonzero(mz_values(n) == m_x)
+    cols = (1.0 - 2.0 * (np.bitwise_count(idx[:, None] & ks) & 1)) / np.sqrt(idx.size)
+    post = post_state(FactoredState(cols, np.full(ks.size, 1.0 / ks.size)),
+                      OutcomeSpec.exact(m_z))
+    return expect_c(post, total_magnetization("x", n), mz_projector(n, m_z))

@@ -7,10 +7,11 @@ flips one bit, a y flips it with amplitude i z, a z is the sign z on the
 diagonal, and a bond term is the product of two of these. Applying such an
 operator to vectors, tracing it against a density matrix and writing its
 dense view cost O(2^n) work per term, and composing two of them O(2^n) per
-pair of terms, with no Kronecker products and no matrix products. The
-commutator of such an operator with a dense d x d matrix costs O(d^2) per
-term, so the double commutator [A, [A, X]] of an additive observable A
-is two kernel commutators instead of three d x d matrix products.
+pair of terms, with no Kronecker products and no matrix products. Two
+such sums A, E give [A, [A, E]] = A^2 E - 2 A E A + E A^2 as one more,
+merged over its flip masks: every z-diagonal witness [Mx, [Mx, P]] is read
+from it with no d x d array. With a dense d x d matrix X, [A, [A, X]] is
+two kernel commutators, O(d^2) per term, not three matrix products.
 
 Density matrices and general operators are dense arrays, which is the right
 tool up to the dense cap of twelve spins: exact eigendecompositions beat any
@@ -136,6 +137,16 @@ class PauliTerms:
         for g, b in other.flips.items():
             for f, a in self.flips.items():
                 _accumulate(flips, f ^ g, b * (a[idx ^ g] if np.ndim(a) else a))
+        return PauliTerms(self.n, flips)
+
+    def double_commutator(self, other: "PauliTerms") -> "PauliTerms":
+        """[T, [T, E]] = T^2 E - 2 T E T + E T^2 for E = other, merged into one
+        sum over flip masks; no d x d array is formed."""
+        te = self @ other
+        flips = dict((self @ te).flips)
+        for weight, part in ((-2.0, te @ self), (1.0, other @ (self @ self))):
+            for mask, amp in part.flips.items():
+                _accumulate(flips, mask, weight * amp)
         return PauliTerms(self.n, flips)
 
     def commutator(self, mat: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Consistency checks, dynamics, measurement budgets, and feasibility."""
 
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +261,73 @@ def test_pauli_decomposition_setting_count():
     for n in (2, 4, 6):
         d = pauli_decomposition_c(n, 0)
         assert d.settings_count <= d.settings_bound()
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_string_coefficients(n):
+    """{m: {string: Tr[S C_m] / 2^n}} over all 4^n strings, C_m the witness."""
+    mx = denseref.magnetization("x", n)
+    ms = range(-n, n + 1, 2)
+    wits = np.stack([denseref.double_commutator(mx, denseref.sector_projector(n, m, m))
+                     for m in ms])
+    out = {m: {} for m in ms}
+    for letters in itertools.product("ixyz", repeat=n):
+        string = "".join(letters)
+        traces = np.einsum("ij,mji->m", denseref.string_operator(string), wits) / 2**n
+        for m, coef, wit in zip(ms, traces, wits):
+            if abs(coef) > 1e-12 * np.abs(wit).max():
+                out[m][string] = coef
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 7) for m in range(-n, n + 1, 2)])
+def test_pauli_decomposition_matches_the_dense_trace_of_every_string(n, m):
+    want = _dense_string_coefficients(n)[m]
+    got = dict(pauli_decomposition_c(n, m).terms)
+    assert sorted(got) == sorted(want)
+    for string, coef in got.items():
+        assert abs(coef - want[string]) <= 1e-12, string
+        assert abs(want[string].imag) <= 1e-12
+
+
+def test_pauli_decomposition_at_ten_sites_is_pinned_and_lean():
+    tracemalloc.start()
+    try:
+        decomp = pauli_decomposition_c(10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(decomp.terms), decomp.settings_count) == (6271, 46)
+    assert peak <= 8 << 20  # the dense witness alone is 16 MB
+
+
+def test_symmetry_even_in_h_never_realizes_the_hamiltonian(monkeypatch):
+    def refuse(self):
+        raise AssertionError("realize() builds a dense H")
+
+    monkeypatch.setattr(SpinHamiltonian, "realize", refuse)
+    report = symmetry_even_in_h(lambda g: SpinHamiltonian(n=6, h=g, j=(0.2, 0.1, 0.3)),
+                                betah_grid=(0.5, 1.0))
+    assert report.rz_residual == 0.0
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_rz_residual_matches_the_dense_conjugation(boundary):
+    # field-odd couplings break the identity; the defect is read on H itself
+    def build(g):
+        return SpinHamiltonian(n=5, h=g, j=(0.3 * g, -0.2, 0.4 + 0.1 * g), boundary=boundary)
+
+    grid = (0.4, 1.1)
+    parity = np.diag(denseref.string_operator("z" * 5)).real
+    want = 0.0
+    for g in grid:
+        hp = denseref.hamiltonian(5, g, build(g).j, boundary)
+        hm = denseref.hamiltonian(5, -g, build(-g).j, boundary)
+        flipped = parity[:, None] * hp * parity[None, :]
+        want = max(want, np.abs(hm - flipped).max() / (1.0 + np.abs(hp).max()))
+    got = symmetry_even_in_h(build, grid, m=1).rz_residual
+    assert got > 0.1
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_pauli_decomposition_settings_are_compatible():

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,32 @@ def test_state_factors_of_a_factored_state_run_no_eigensolve(monkeypatch):
         assert np.all(np.diff(weights) >= 0.0)
         np.testing.assert_allclose((vecs * weights) @ vecs.conj().T, states[name].mat,
                                    rtol=0, atol=1e-14)
+
+
+def test_state_factors_scan_a_full_support_state_in_bounded_chunks(monkeypatch):
+    n = 10
+    rng = np.random.default_rng(21)
+    generic = pure_state(rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n))
+    assert generic.support().size == 2**n
+    monkeypatch.setattr(indices, "_GATHER_CHUNK", 1 << 16)
+    tracemalloc.start()
+    try:
+        commutes = _state_factors(generic)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not commutes
+    assert peak <= 4 << 20  # the whole support block is 16 MB
+    # a sector-0 column and one on the last two basis states: their only
+    # entry between two sectors sits in the last chunk of 16 rows
+    sector = np.where(denseref.mz_eigenvalues(n) == 0, 1.0, 0.0) / math.sqrt(comb(n, n // 2))
+    monkeypatch.setattr(indices, "_GATHER_CHUNK", 16 * 256)
+    for tail, want in (([0.0, 1.0], True), ([math.sqrt(0.5), math.sqrt(0.5)], False)):
+        vecs = np.zeros((2**n, 2), dtype=complex)
+        vecs[:, 0], vecs[-2:, 1] = sector, tail
+        rho = FactoredState(vecs, np.array([0.5, 0.5]))
+        assert _state_factors(rho)[2] is want
+        assert _state_factors(as_state(rho.mat))[2] is want
 
 
 @pytest.mark.parametrize("kind", indices.FIXTURE_KINDS)

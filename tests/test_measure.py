@@ -199,6 +199,31 @@ def test_double_projection_dense_matches_reference():
     assert double_projection_dense(n, m_x, m_z) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_double_projection_dense_matches_reference_at_every_outcome(n):
+    mx = denseref.magnetization("x", n)
+    wx, vx = np.linalg.eigh(mx)
+    for m_x in range(-n, n + 1, 2):
+        cols = vx[:, np.abs(wx - m_x) < 1e-9]
+        rho = cols @ cols.conj().T / cols.shape[1]
+        for m_z in range(-n, n + 1, 2):
+            pz = denseref.sector_projector(n, m_z, m_z)
+            want = denseref.catness(denseref.project(rho, pz)[0], mx, pz)
+            assert double_projection_dense(n, m_x, m_z) == pytest.approx(want, rel=1e-12,
+                                                                          abs=1e-12)
+
+
+def test_double_projection_dense_builds_no_dense_matrix():
+    tracemalloc.start()
+    try:
+        value = double_projection_dense(10, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(double_projection_c(10, 0, 0), rel=1e-12)
+    assert peak <= 16 << 20  # one dense 2^10 x 2^10 complex matrix is 16 MB
+
+
 def test_row_path_never_assembles_the_gibbs_matrix():
     n = 8
     rho = gibbs_state(SpinHamiltonian(n=n, h=1.0, j=(0.2, 0.1, 0.3)), 0.9)

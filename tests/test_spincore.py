@@ -320,6 +320,23 @@ def test_double_commutator_rejects_a_dense_observable():
         double_commutator(total_magnetization("x", 3), np.eye(4))
 
 
+def test_kernel_double_commutator_matches_reference():
+    rng = np.random.default_rng(23)
+    n = 5
+    # Mx against an outcome projector, and a site-dependent observable with
+    # y parts against a Pauli sum with flips and complex amplitudes
+    coeffs = rng.standard_normal((n, 3))
+    bonds = [(1, 3, (0.4, -0.7, 0.2)), (2, 5, (0.0, 0.3, 0.0))]
+    cases = [(total_magnetization("x", n).terms(), mz_interval_projector(n, -1, 3).terms()),
+             (additive_observable(coeffs).terms(),
+              pauli_terms(n, rng.standard_normal((n, 3)), bonds))]
+    for a, e in cases:
+        got = a.double_commutator(e)
+        assert isinstance(got, PauliTerms)
+        np.testing.assert_allclose(got.dense(), denseref.double_commutator(a.dense(), e.dense()),
+                                   rtol=0, atol=1e-12)
+
+
 def test_trace_norm_matches_singular_values():
     rng = np.random.default_rng(9)
     g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
@@ -395,6 +412,22 @@ def test_no_low_rank_state_is_built_as_a_dense_matrix():
                                           and is_square(node.args[0])):
                     found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert sorted(seen) == ["fixture_states", "pure_state"]
+    assert found == []
+
+
+def test_no_module_builds_a_kronecker_chain():
+    # every Pauli operator comes from the bit-operation kernel. The oracle's
+    # _string_matrix stays as its independent reference for the Pauli strings
+    found = []
+    for path in sorted(Path(spincore.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for func in ast.walk(tree)
+                  if path.name == "oracle.py" and isinstance(func, ast.FunctionDef)
+                  and func.name == "_string_matrix" for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in exempt
+                    and ast.unparse(node.func).split(".")[-1] == "kron"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
 
 
