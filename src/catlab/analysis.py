@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .indices import c_closed_form_free, expect_c, fit_exponent, optimal_witness
+from .indices import (_catness_form, _state_factors, c_closed_form_free,
+                      expect_c, fit_exponent)
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state)
 from .spincore import (QuantumState, WindowState, _bit_table, _herm_eigh,
@@ -275,15 +276,17 @@ def time_evolution_invariance(rho_post: QuantumState, ham: SpinHamiltonian,
     motion. Any fixed projector's value is not conserved (the optimal
     witness co-rotates with the state), which is why the report tracks
     the optimum. A non-commuting Hamiltonian is flagged inapplicable and
-    the drift is tabulated anyway.
+    the drift is tabulated anyway. rho_post = V diag(w) V^dagger is factored
+    once and H solved once; each value is read from the witness form of the
+    evolved columns U_t V, with no d x d state.
     """
     n = rho_post.n
     h_op = ham.realize()
     a_obs = total_magnetization("x", n)
-    # the largest entry of the realized Mx is 1, so the scale is that of H
-    comm = a_obs.terms().commutator(h_op.mat)
+    # H and Mx are real symmetric, so H Mx = (Mx H)^T; Mx's largest entry is 1
+    mx_h = a_obs.terms().apply(h_op.mat)
     scale = 1.0 + float(np.abs(h_op.mat).max())
-    commutes = float(np.abs(comm).max()) <= 1e-10 * scale
+    commutes = float(np.abs(mx_h - mx_h.T).max()) <= 1e-10 * scale
     notice = "" if commutes else "hamiltonian does not commute with Mx; no invariance expected"
 
     occupied = mz_values(n)[rho_post.diagonal().real > 1e-12]
@@ -291,21 +294,19 @@ def time_evolution_invariance(rho_post: QuantumState, ham: SpinHamiltonian,
         raise ContractViolationError("state has no support on any sector")
     window = (int(occupied.min()), int(occupied.max()))
 
-    base = optimal_witness(rho_post, a_obs)[1]
-    # one solve of H serves every time: U_t = v diag(exp(-i w t)) v^dagger
+    weights, vecs, _ = _state_factors(rho_post)
+
+    def witness(cols: np.ndarray) -> float:
+        return _catness_form(weights, cols, [a_obs]).value((1.0,))[0]
+
+    # U_t V = v (exp(-i w t) * v^dagger V), from one solve of H
     w, v = _herm_eigh(h_op, "propagator input")
-    times, values, resids = [], [], []
-    for t in t_grid:
-        t = float(t)
-        u = (v * np.exp(-1j * w * t)) @ v.conj().T
-        rho_t = QuantumState(u @ rho_post.mat @ u.conj().T)
-        val = optimal_witness(rho_t, a_obs)[1]
-        times.append(t)
-        values.append(val)
-        resids.append(abs(val - base))
-    return EvolutionReport(applicable=commutes, notice=notice,
-                           outcome_window=window, times=tuple(times),
-                           values=tuple(values), residuals=tuple(resids))
+    overlap = v.conj().T @ vecs
+    base, times = witness(vecs), tuple(float(t) for t in t_grid)
+    values = tuple(witness(v @ (np.exp(-1j * w * t)[:, None] * overlap)) for t in times)
+    return EvolutionReport(applicable=commutes, notice=notice, outcome_window=window,
+                           times=times, values=values,
+                           residuals=tuple(abs(val - base) for val in values))
 
 
 @dataclass(frozen=True)
@@ -331,18 +332,6 @@ class PauliDecomposition:
         return (self.n * self.n - self.n) // 2 + 1
 
 
-def _merge_setting(setting: str, string: str) -> str | None:
-    merged = []
-    for s, c in zip(setting, string):
-        if c == "i" or s == c:
-            merged.append(s)
-        elif s == "i":
-            merged.append(c)
-        else:
-            return None
-    return "".join(merged)
-
-
 def pauli_decomposition_c(n: int, m: int) -> PauliDecomposition:
     """Decompose [Mx, [Mx, P_m]] into Pauli strings and group them.
 
@@ -366,23 +355,29 @@ def pauli_decomposition_c(n: int, m: int) -> PauliDecomposition:
     f = np.array(list(flips), dtype=np.int64)[row]
     coef = (walsh[row, z] * np.array([1, -1j, -1, 1j])[np.bitwise_count(f & z) % 4]).real
     bits = np.arange(n - 1, -1, -1)
-    codes = ((f[:, None] >> bits) & 1) + 2 * ((z[:, None] >> bits) & 1)
-    raw = [("".join(chars), float(c)) for chars, c in zip(np.array(list("ixzy"))[codes], coef)]
+
+    def render(xs, zs):  # site 1 is the most significant bit
+        codes = ((xs[:, None] >> bits) & 1) + 2 * ((zs[:, None] >> bits) & 1)
+        return ["".join(chars) for chars in np.array(list("ixzy"))[codes]]
+
+    raw = list(zip(render(f, z), coef.tolist()))
     order = sorted(range(len(raw)),
                    key=lambda k: (-sum(ch != "i" for ch in raw[k][0]), raw[k][0]))
     terms = tuple(raw[k] for k in order)
-    settings: list[str] = []
-    assignments = [0] * len(terms)
-    for idx, (string, _) in enumerate(terms):
-        for g, setting in enumerate(settings):
-            merged = _merge_setting(setting, string)
-            if merged is not None:
-                settings[g] = merged
-                assignments[idx] = g
+    # greedy first fit on the masks: t fits setting s when they agree on
+    # every site where both act, and merging ORs the masks
+    masks: list[tuple[int, int]] = []
+    assignments = []
+    for tx, tz in zip(f[order].tolist(), z[order].tolist()):
+        for g, (sx, sz) in enumerate(masks):
+            if not ((sx ^ tx) | (sz ^ tz)) & (sx | sz) & (tx | tz):
+                masks[g] = (sx | tx, sz | tz)
                 break
         else:
-            assignments[idx] = len(settings)
-            settings.append(string)
+            g = len(masks)
+            masks.append((tx, tz))
+        assignments.append(g)
+    settings = render(*np.array(masks, dtype=np.int64).reshape(-1, 2).T)
     return PauliDecomposition(n=n, terms=terms, settings=tuple(settings),
                               assignments=tuple(assignments))
 

@@ -11,12 +11,13 @@ local log-log slopes to the large-n limit.
 The search evaluates directions through one quadratic form per state:
 [A, [A, rho]] is quadratic in the direction of a uniform A, so six
 Hermitian forms are built once, in a basis of at most 10 rank(rho) vectors,
-and each direction costs one linear combination and one eigvalsh. The
-forms hold 6 K^2 complex numbers for a basis of K vectors, 96 MB at
-K = 2^10. A state that commutes with M_z, as every single-outcome
-post-state does, is unchanged by rotations about z, so its catness depends
-on the polar angle alone: three forms over Mx and Mz, real when the state
-is, and half the grid suffice.
+and each direction costs one linear combination and one eigvalsh. Every
+other witness (optimal_witness, q_functional, expect_c with a dense eta)
+reads the form for one A, in at most 3 rank(rho) vectors. A state that
+commutes with M_z, as every single-outcome post-state does, is unchanged
+by rotations about z, so its catness depends on the polar angle alone:
+three forms over Mx and Mz, real when the state is, and half the grid
+suffice.
 """
 from __future__ import annotations
 
@@ -30,10 +31,9 @@ from scipy.optimize import minimize, minimize_scalar
 from .errors import ContractViolationError, DomainError
 from .spincore import (_GATHER_CHUNK, AdditiveObservable, FactoredState,
                        Operator, QuantumState, ZDiagonal, _check_cap,
-                       _check_outcome_parity, _herm_eigh, additive_observable,
-                       double_commutator, mz_values, pauli_terms, pure_state,
-                       snap_interval, total_magnetization, trace_norm,
-                       uniform_observable)
+                       _check_outcome_parity, _herm_eigh, _mat,
+                       additive_observable, mz_values, pauli_terms, pure_state,
+                       snap_interval, total_magnetization, uniform_observable)
 from .thermal import _log_binom, interval_r_count
 
 SEARCH_RESOLUTION = 312
@@ -94,14 +94,20 @@ def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
 
     For a z-diagonal eta (every outcome projector) C is one kernel
     PauliTerms.double_commutator, whose expect reads O(n^2 d) entries of rho
-    and forms no d x d product; any other eta takes the dense one.
+    and forms no d x d product. Any other eta is read by cyclic invariance
+    as Tr[D eta] = Tr[F B eta B^dagger], with F the form of D = [A, [A, rho]]
+    in its basis B.
     """
-    if isinstance(eta, ZDiagonal):
-        if eta.dim != rho.dim or a.n != rho.n:
-            raise ContractViolationError("expect_c dimension mismatch")
+    emat = None if isinstance(eta, ZDiagonal) else _mat(eta)
+    shape = (eta.dim, eta.dim) if emat is None else emat.shape
+    if shape != (rho.dim, rho.dim) or a.n != rho.n:
+        raise ContractViolationError("expect_c dimension mismatch")
+    if emat is None:
         val = a.terms().double_commutator(eta.terms()).expect(rho)
     else:
-        val = complex(np.einsum("ij,ji->", rho.mat, double_commutator(a, eta).mat))
+        form = _catness_form(*_state_factors(rho)[:2], [a])
+        side = emat if form.basis is None else form.basis @ emat @ form.basis.conj().T
+        val = complex(np.einsum("ij,ji->", form.forms[0], side))
     scale = 1.0 + abs(val)
     if abs(val.imag) > 1e-10 * scale:
         raise ContractViolationError(f"catness value has imaginary part {val.imag:.3e}")
@@ -154,18 +160,22 @@ def optimal_witness(rho: QuantumState, a: AdditiveObservable) -> tuple[Operator,
     By cyclic invariance the trace equals Tr[eta D] with D = [A, [A, rho]],
     so the exact maximum over projectors is the positive eigenspace of D and
     the value is the sum of D's positive eigenvalues, half the trace norm.
+    D is eigensolved as its form F = B D B^dagger (_catness_form), and eta's
+    eigenvectors go back through the basis B: eta is the one d x d array.
     """
-    w, v = _herm_eigh(double_commutator(a, rho), "[A, [A, rho]]")
+    form = _catness_form(*_state_factors(rho)[:2], [a])
+    w, u = _herm_eigh(form.forms[0], "[A, [A, rho]]")
     scale = 1.0 + float(np.abs(w).max(initial=0.0))
     sel = w > _EIG_FLOOR * scale
-    vecs = v[:, sel]
-    proj = vecs @ vecs.conj().T
-    return Operator(proj), float(w[sel].sum())
+    vecs = u[:, sel] if form.basis is None else form.basis.conj().T @ u[:, sel]
+    return Operator(vecs @ vecs.conj().T), float(w[sel].sum())
 
 
 def q_functional(rho: QuantumState, a: AdditiveObservable) -> float:
-    """Trace norm of [A, [A, rho]]; zero exactly when A and rho commute."""
-    return trace_norm(double_commutator(a, rho))
+    """Trace norm of [A, [A, rho]], from its form; zero exactly when A and rho commute."""
+    form = _catness_form(*_state_factors(rho)[:2], [a])
+    lam = _herm_eigh(form.forms[0], "[A, [A, rho]]", _values_only=True)
+    return float(np.abs(lam).sum())
 
 
 def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -178,8 +188,8 @@ def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray, bool]:
     state is eigensolved where rho has a nonzero row or column: exact, as a
     zero row of a positive semidefinite matrix is a kernel vector, and every
     nonzero entry stays in the block checked for hermiticity. Eigenvectors,
-    scattered back to length 2^n, are real when that block is; a state on
-    fewer than 2^n rows is read through entries(), not .mat.
+    scattered back to length 2^n, are real when that block is; any state
+    but a plain dense one is read through entries(), not .mat.
     """
     rows = rho.support()
     if isinstance(rho, FactoredState):
@@ -189,7 +199,7 @@ def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray, bool]:
                            for lo in range(0, rows.size, step))
         sel = rho.weights > _EIG_FLOOR
         return rho.weights[sel], rho.vecs[:, sel], commutes
-    mat = rho.entries(rows[:, None], rows) if rows.size < rho.dim else rho.mat
+    mat = rho.mat if type(rho) is QuantumState else rho.entries(rows[:, None], rows)
     nonzero = mat != 0
     keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     block, support = mat[np.ix_(keep, keep)], rows[keep]
@@ -208,11 +218,13 @@ class _CatnessForm:
 
     forms[p] is G_ab for pairs[p] = (a, b), written in an orthonormal basis
     of a space that holds the range of every D(c), so the nonzero spectrum
-    of the combination is that of the dense D.
+    of the combination is that of the dense D. basis holds it as K rows B of
+    length 2^n, D(c) = B^dagger (sum c_a c_b G_ab) B, or is None for B = 1.
     """
 
     pairs: np.ndarray
     forms: np.ndarray
+    basis: np.ndarray | None
 
     def value(self, coeffs) -> tuple[float, float]:
         """(max-over-eta value, optimal eta trace): the sum and the count of
@@ -254,6 +266,7 @@ def _catness_form(weights: np.ndarray, vecs: np.ndarray,
 
     blocks = [vecs, *ov, *(product(a, b) + product(b, a) if a != b else product(a, a)
                            for a, b in pairs)]
+    basis = None
     if len(blocks) * r < vecs.shape[0]:
         cols = np.hstack(blocks)
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
@@ -267,7 +280,7 @@ def _catness_form(weights: np.ndarray, vecs: np.ndarray,
         half = (yab * weights) @ p0.conj().T
         half -= (2.0 if a != b else 1.0) * ((x[a] * weights) @ x[b].conj().T)
         np.add(half, half.conj().T, out=forms[p])
-    return _CatnessForm(pairs=pairs, forms=forms)
+    return _CatnessForm(pairs=pairs, forms=forms, basis=basis)
 
 
 def _grid_directions(k: int, half_plane: bool = False) -> np.ndarray:

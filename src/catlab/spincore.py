@@ -10,8 +10,7 @@ dense view cost O(2^n) work per term, and composing two of them O(2^n) per
 pair of terms, with no Kronecker products and no matrix products. Two
 such sums A, E give [A, [A, E]] = A^2 E - 2 A E A + E A^2 as one more,
 merged over its flip masks: every z-diagonal witness [Mx, [Mx, P]] is read
-from it with no d x d array. With a dense d x d matrix X, [A, [A, X]] is
-two kernel commutators, O(d^2) per term, not three matrix products.
+from it with no d x d array.
 
 Density matrices and general operators are dense arrays, which is the right
 tool up to the dense cap of twelve spins: exact eigendecompositions beat any
@@ -148,17 +147,6 @@ class PauliTerms:
             for mask, amp in part.flips.items():
                 _accumulate(flips, mask, weight * amp)
         return PauliTerms(self.n, flips)
-
-    def commutator(self, mat: np.ndarray) -> np.ndarray:
-        """[T, mat] = T mat - mat T, as apply(mat) - apply(mat^dagger)^dagger.
-
-        Exact when T is Hermitian, as every sum of Pauli strings with real
-        coefficients is; mat may be any d x d matrix.
-        """
-        out = self.apply(mat)
-        # row gathers from a transposed view are strided; copy it once
-        out -= self.apply(np.ascontiguousarray(mat.conj().T)).conj().T
-        return out
 
     def expect(self, rho: QuantumState) -> complex:
         """Tr[rho T], reading rho only where T has entries and on rho.support()."""
@@ -360,9 +348,11 @@ class FactoredState(QuantumState):
             raise ContractViolationError("factored state columns are not orthonormal")
         if weights.min(initial=0.0) < 0.0 or abs(weights.sum() - 1.0) > 1e-12:
             raise ContractViolationError("factored state weights must be >= 0 and sum to 1")
-        order = np.argsort(weights, kind="stable")
-        object.__setattr__(self, "vecs", vecs[:, order])
-        object.__setattr__(self, "weights", weights[order])
+        if (np.diff(weights) < 0).any():  # reorder, and copy, only when out of order
+            order = np.argsort(weights, kind="stable")
+            vecs, weights = vecs[:, order], weights[order]
+        object.__setattr__(self, "vecs", vecs)
+        object.__setattr__(self, "weights", weights)
 
     def __repr__(self) -> str:
         return f"FactoredState(dim={self.dim}, rank={self.weights.size})"
@@ -763,23 +753,3 @@ def unitary_evolution(h_op, t: float) -> Operator:
     """Propagator exp(-i H t) for Hermitian H."""
     w, v = _herm_eigh(h_op, "propagator input")
     return Operator((v * np.exp(-1j * w * t)) @ v.conj().T)
-
-
-def double_commutator(a: AdditiveObservable, x) -> Operator:
-    """[A, [A, X]] for an additive observable A and any d x d matrix X.
-
-    Two kernel commutators, O(n d^2) work and no matrix product; X need not
-    be Hermitian.
-    """
-    if not isinstance(a, AdditiveObservable):
-        raise ContractViolationError("double_commutator needs an AdditiveObservable as A")
-    xmat = _mat(x)
-    if xmat.shape != (1 << a.n, 1 << a.n):
-        raise ContractViolationError("double_commutator dimension mismatch")
-    terms = a.terms()
-    return Operator(terms.commutator(terms.commutator(xmat)))
-
-
-def trace_norm(op) -> float:
-    """Sum of absolute eigenvalues of a Hermitian operator."""
-    return float(np.abs(_herm_eigh(op, "trace_norm input", _values_only=True)).sum())

@@ -41,7 +41,6 @@ from catlab.spincore import (
     mz_projector,
     pure_state,
     total_magnetization,
-    trace_norm,
     unitary_evolution,
 )
 from catlab.thermal import SpinHamiltonian, gibbs_state
@@ -182,6 +181,86 @@ def test_optimal_witness_half_trace_norm_random_states(seed):
     comm = denseref.double_commutator(denseref.magnetization("x", n), rho.mat)
     assert value == pytest.approx(0.5 * denseref.trace_norm(comm),
                                   rel=1e-9, abs=1e-12)
+
+
+_XYZ5 = (SpinHamiltonian(n=5, h=1.0, j=(0.2, 0.1, 0.3)), 0.9)
+
+
+def _xyz5_dense(window=None):
+    rho = denseref.gibbs(denseref.hamiltonian(5, 1.0, (0.2, 0.1, 0.3)), 0.9)
+    if window is None:
+        return rho
+    return denseref.project(rho, denseref.sector_projector(5, *window))[0]
+
+
+# one state of each class, with its reference built by denseref
+_WITNESS_STATES = {
+    "dense": (lambda: as_state(denseref.random_density_matrix(5, np.random.default_rng(31))),
+              lambda: denseref.random_density_matrix(5, np.random.default_rng(31))),
+    "factored": (lambda: fixture_states("rho_ex1", 5),
+                 lambda: denseref.fixture_dense("rho_ex1", 5)),
+    "window_exact": (lambda: post_state(gibbs_state(*_XYZ5), OutcomeSpec.exact(1)),
+                     lambda: _xyz5_dense((1, 1))),
+    "window_interval": (lambda: post_state(gibbs_state(*_XYZ5), OutcomeSpec.interval(-1, 3)),
+                        lambda: _xyz5_dense((-1, 3))),
+    "spectral": (lambda: gibbs_state(*_XYZ5), _xyz5_dense),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WITNESS_STATES))
+def test_every_witness_reads_the_factor_form(kind):
+    make, reference = _WITNESS_STATES[kind]
+    rho, want_rho = make(), reference()
+    rng = np.random.default_rng(41)
+    coeffs = rng.standard_normal((5, 3))
+    observables = [(total_magnetization("x", 5), denseref.magnetization("x", 5)),
+                   (additive_observable(coeffs),
+                    sum(coeffs[site - 1, k] * denseref.site_operator(axis, site, 5)
+                        for site in range(1, 6) for k, axis in enumerate("xyz")))]
+    g = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    eta = (g + g.conj().T) / 2.0
+    for a, amat in observables:
+        comm = denseref.double_commutator(amat, want_rho)
+        lam = np.linalg.eigvalsh(comm)
+        proj, value = optimal_witness(rho, a)
+        assert value == pytest.approx(denseref.optimal_catness(want_rho, amat), rel=1e-12)
+        assert denseref.catness(want_rho, amat, proj.mat) == pytest.approx(value, rel=1e-12)
+        assert np.trace(proj.mat).real == pytest.approx(
+            np.count_nonzero(lam > 1e-9 * np.abs(lam).max()), abs=1e-9)
+        assert q_functional(rho, a) == pytest.approx(denseref.trace_norm(comm), rel=1e-12)
+        assert expect_c(rho, a, eta) == pytest.approx(
+            denseref.catness(want_rho, amat, eta), rel=1e-12)
+    assert kind == "dense" or "mat" not in vars(rho)
+
+
+def test_expect_c_with_a_dense_eta_matches_the_reference():
+    # the checks of the deleted dense double commutator, read through expect_c
+    rng = np.random.default_rng(5)
+    rho = as_state(denseref.random_density_matrix(3, rng))
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    eta = (g + g.conj().T) / 2.0
+    amat = denseref.magnetization("x", 3)
+    assert expect_c(rho, total_magnetization("x", 3), eta) == pytest.approx(
+        denseref.catness(rho.mat, amat, eta), rel=1e-12)
+    # a site-dependent observable with y parts, and a non-Hermitian eta whose
+    # Hermitian part carries the value
+    n = 5
+    coeffs = rng.standard_normal((n, 3))
+    assert np.all(coeffs[:, 1] != 0.0)
+    amat = sum(c * denseref.site_operator(axis, site, n)
+               for site in range(1, n + 1) for axis, c in zip("xyz", coeffs[site - 1]))
+    rho = as_state(denseref.random_density_matrix(n, rng))
+    x = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    a = additive_observable(coeffs)
+    with pytest.raises(ContractViolationError, match="imaginary part"):
+        expect_c(rho, a, x)
+    herm = (x + x.conj().T) / 2.0
+    assert expect_c(rho, a, herm) == pytest.approx(
+        np.trace(rho.mat @ denseref.double_commutator(amat, x)).real, rel=1e-12)
+    with pytest.raises(ContractViolationError, match="dimension"):
+        expect_c(rho, a, np.eye(16))
+    with pytest.raises(ContractViolationError, match="dimension"):
+        expect_c(rho, total_magnetization("x", 4), herm)
 
 
 def test_witness_value_zero_when_observable_commutes():
@@ -698,7 +777,9 @@ def test_search_reads_a_window_state_through_its_block():
 _NON_HERMITIAN_CALLS = {
     "herm_expm": lambda mat: herm_expm(mat, 1.0),
     "unitary_evolution": lambda mat: unitary_evolution(mat, 1.0),
-    "trace_norm": trace_norm,
+    "q_functional": lambda mat: q_functional(QuantumState(mat), total_magnetization("x", 3)),
+    "expect_c": lambda mat: expect_c(QuantumState(mat), total_magnetization("x", 3),
+                                     np.eye(8)),
     "as_state": as_state,
     "optimal_witness": lambda mat: optimal_witness(QuantumState(mat),
                                                    total_magnetization("x", 3)),
