@@ -98,6 +98,9 @@ def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
     as Tr[D eta] = Tr[F B eta B^dagger], with F the form of D = [A, [A, rho]]
     in its basis B.
     """
+    if not isinstance(a, AdditiveObservable):
+        raise ContractViolationError(
+            f"expect_c needs an AdditiveObservable, got {type(a).__name__}")
     emat = None if isinstance(eta, ZDiagonal) else _mat(eta)
     shape = (eta.dim, eta.dim) if emat is None else emat.shape
     if shape != (rho.dim, rho.dim) or a.n != rho.n:

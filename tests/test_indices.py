@@ -233,36 +233,6 @@ def test_every_witness_reads_the_factor_form(kind):
     assert kind == "dense" or "mat" not in vars(rho)
 
 
-def test_expect_c_with_a_dense_eta_matches_the_reference():
-    # the checks of the deleted dense double commutator, read through expect_c
-    rng = np.random.default_rng(5)
-    rho = as_state(denseref.random_density_matrix(3, rng))
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    eta = (g + g.conj().T) / 2.0
-    amat = denseref.magnetization("x", 3)
-    assert expect_c(rho, total_magnetization("x", 3), eta) == pytest.approx(
-        denseref.catness(rho.mat, amat, eta), rel=1e-12)
-    # a site-dependent observable with y parts, and a non-Hermitian eta whose
-    # Hermitian part carries the value
-    n = 5
-    coeffs = rng.standard_normal((n, 3))
-    assert np.all(coeffs[:, 1] != 0.0)
-    amat = sum(c * denseref.site_operator(axis, site, n)
-               for site in range(1, n + 1) for axis, c in zip("xyz", coeffs[site - 1]))
-    rho = as_state(denseref.random_density_matrix(n, rng))
-    x = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-    a = additive_observable(coeffs)
-    with pytest.raises(ContractViolationError, match="imaginary part"):
-        expect_c(rho, a, x)
-    herm = (x + x.conj().T) / 2.0
-    assert expect_c(rho, a, herm) == pytest.approx(
-        np.trace(rho.mat @ denseref.double_commutator(amat, x)).real, rel=1e-12)
-    with pytest.raises(ContractViolationError, match="dimension"):
-        expect_c(rho, a, np.eye(16))
-    with pytest.raises(ContractViolationError, match="dimension"):
-        expect_c(rho, total_magnetization("x", 4), herm)
-
-
 def test_witness_value_zero_when_observable_commutes():
     n = 4
     rho = fixture_states("rho_ex2", n)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import denseref
 from catlab import spincore
 from catlab.errors import CapacityError, ContractViolationError, InvalidOutcomeError
+from catlab.indices import expect_c
 from catlab.spincore import (
     DENSE_CAP,
     FactoredState,
@@ -286,6 +287,47 @@ def test_unitary_evolution_is_unitary_and_correct():
     np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
     want = denseref.scipy.linalg.expm(-1.3j * denseref.hamiltonian(3, 0.9, (0.2, 0.1, 0.3)))
     np.testing.assert_allclose(u, want, atol=1e-11)
+
+
+def test_double_commutator_matches_reference():
+    # [A, [A, eta]] for a dense eta is read through expect_c as Tr[rho C]
+    rng = np.random.default_rng(5)
+    rho = as_state(denseref.random_density_matrix(3, rng))
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    eta = (g + g.conj().T) / 2.0
+    amat = denseref.magnetization("x", 3)
+    assert expect_c(rho, total_magnetization("x", 3), eta) == pytest.approx(
+        np.trace(rho.mat @ denseref.double_commutator(amat, eta)).real, rel=1e-12)
+
+
+def test_double_commutator_site_dependent_observable_non_hermitian_operand():
+    rng = np.random.default_rng(17)
+    n = 5
+    coeffs = rng.standard_normal((n, 3))
+    assert np.all(coeffs[:, 1] != 0.0)
+    amat = sum(c * denseref.site_operator(axis, site, n)
+               for site in range(1, n + 1)
+               for axis, c in zip("xyz", coeffs[site - 1]))
+    rho = as_state(denseref.random_density_matrix(n, rng))
+    x = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    a = additive_observable(coeffs)
+    # a non-Hermitian operand gives a complex trace, which expect_c refuses;
+    # its Hermitian part carries the value
+    with pytest.raises(ContractViolationError, match="imaginary part"):
+        expect_c(rho, a, x)
+    herm = (x + x.conj().T) / 2.0
+    assert expect_c(rho, a, herm) == pytest.approx(
+        np.trace(rho.mat @ denseref.double_commutator(amat, x)).real, rel=1e-12)
+
+
+def test_double_commutator_rejects_a_dense_observable():
+    rho = as_state(denseref.random_density_matrix(3, np.random.default_rng(3)))
+    with pytest.raises(ContractViolationError, match="AdditiveObservable"):
+        expect_c(rho, denseref.magnetization("x", 3), np.eye(8))
+    with pytest.raises(ContractViolationError, match="dimension"):
+        expect_c(rho, total_magnetization("x", 3), np.eye(4))
+    with pytest.raises(ContractViolationError, match="dimension"):
+        expect_c(rho, total_magnetization("x", 4), np.eye(8))
 
 
 def test_kernel_double_commutator_matches_reference():
