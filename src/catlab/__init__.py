@@ -6,6 +6,8 @@ magnetization (exactly, over a window, or by sampling), and quantify how
 cat-like the conditional state is through double-commutator witnesses,
 closed-form predictions, and finite-size exponent fits.
 """
+from types import ModuleType as _ModuleType
+
 from .analysis import (AveragedIdentityReport, EnergyMoments, EvolutionReport,
                        FeasibilityInput, FeasibilityReport, PauliDecomposition,
                        SufficiencyReport, SymmetryReport,
@@ -30,14 +32,13 @@ from .measure import (OutcomeDistribution, OutcomeSpec, double_projection_c,
 from .oracle import FAMILIES, FamilyResult, run_families
 from .records import (CSV_COLUMNS, append_jsonl, mix_seed, read_csv,
                       splitmix64, write_csv)
-from .spincore import (DENSE_CAP, AdditiveObservable, FactoredState, Operator,
+from .spincore import (DENSE_CAP, AdditiveObservable, FactoredState,
                        PauliTerms, QuantumState, SpectralState,
-                       SymmetrySpectrum, ZDiagonal, additive_observable,
-                       as_operator, as_state, check_state, herm_expm,
-                       mz_interval_projector, mz_projector, mz_values,
-                       pauli_site, pauli_terms, pure_state, snap_interval,
-                       symmetry_eigh, total_magnetization, uniform_observable,
-                       unitary_evolution)
+                       SymmetrySpectrum, additive_observable, as_state,
+                       herm_expm, mz_interval_projector, mz_projector,
+                       mz_values, pauli_site, pauli_terms, pure_state,
+                       snap_interval, symmetry_eigh, total_magnetization,
+                       uniform_observable)
 from .thermal import (BOUNDARIES, SpinHamiltonian, gibbs_state, ground_state,
                       log_free_partition_eq, log_free_partition_post,
                       log_interval_partition_post, sector_zz_mean,
@@ -46,4 +47,5 @@ from .thermal import (BOUNDARIES, SpinHamiltonian, gibbs_state, ground_state,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -281,11 +281,11 @@ def time_evolution_invariance(rho_post: QuantumState, ham: SpinHamiltonian,
     evolved columns U_t V, with no d x d state.
     """
     n = rho_post.n
-    h_op = ham.realize()
+    hmat = ham.realize()
     a_obs = total_magnetization("x", n)
     # H and Mx are real symmetric, so H Mx = (Mx H)^T; Mx's largest entry is 1
-    mx_h = a_obs.terms().apply(h_op.mat)
-    scale = 1.0 + float(np.abs(h_op.mat).max())
+    mx_h = a_obs.terms().apply(hmat)
+    scale = 1.0 + float(np.abs(hmat).max())
     commutes = float(np.abs(mx_h - mx_h.T).max()) <= 1e-10 * scale
     notice = "" if commutes else "hamiltonian does not commute with Mx; no invariance expected"
 
@@ -300,7 +300,7 @@ def time_evolution_invariance(rho_post: QuantumState, ham: SpinHamiltonian,
         return _catness_form(weights, cols, [a_obs]).value((1.0,))[0]
 
     # U_t V = v (exp(-i w t) * v^dagger V), from one solve of H
-    w, v = _herm_eigh(h_op, "propagator input")
+    w, v = _herm_eigh(hmat, "propagator input")
     overlap = v.conj().T @ vecs
     base, times = witness(vecs), tuple(float(t) for t in t_grid)
     values = tuple(witness(v @ (np.exp(-1j * w * t)[:, None] * overlap)) for t in times)
@@ -342,8 +342,7 @@ def pauli_decomposition_c(n: int, m: int) -> PauliDecomposition:
     entry. Greedy first-fit grouping, by decreasing weight, lands on at most
     (n^2 - n)/2 + 1 settings: one per site pair plus the all-longitudinal one.
     """
-    flips = total_magnetization("x", n).terms().double_commutator(
-        mz_projector(n, m).terms()).flips
+    flips = total_magnetization("x", n).terms().double_commutator(mz_projector(n, m)).flips
     amps = np.array([np.broadcast_to(amp, 1 << n) for amp in flips.values()])
     scale = max(float(np.abs(amps).max(initial=0.0)), 1e-300)
     walsh = amps.reshape(-1, *(2,) * n)

@@ -30,10 +30,10 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ContractViolationError, DomainError
 from .spincore import (_GATHER_CHUNK, AdditiveObservable, FactoredState,
-                       Operator, QuantumState, ZDiagonal, _check_cap,
-                       _check_outcome_parity, _herm_eigh, _mat,
-                       additive_observable, mz_values, pauli_terms, pure_state,
-                       snap_interval, total_magnetization, uniform_observable)
+                       PauliTerms, QuantumState, _check_cap,
+                       _check_outcome_parity, _herm_eigh, additive_observable,
+                       mz_values, pauli_terms, pure_state, snap_interval,
+                       total_magnetization, uniform_observable)
 from .thermal import _log_binom, interval_r_count
 
 SEARCH_RESOLUTION = 312
@@ -92,21 +92,21 @@ class VcmMatrix:
 def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
     """Tr[rho [A, [A, eta]]], the catness of rho witnessed by (A, eta).
 
-    For a z-diagonal eta (every outcome projector) C is one kernel
+    A PauliTerms eta, such as an outcome projector, is read through one kernel
     PauliTerms.double_commutator, whose expect reads O(n^2 d) entries of rho
-    and forms no d x d product. Any other eta is read by cyclic invariance
-    as Tr[D eta] = Tr[F B eta B^dagger], with F the form of D = [A, [A, rho]]
-    in its basis B.
+    per term of eta and forms no d x d product. Any other eta is an array, read
+    by cyclic invariance as Tr[D eta] = Tr[F B eta B^dagger], with F the
+    form of D = [A, [A, rho]] in its basis B.
     """
     if not isinstance(a, AdditiveObservable):
         raise ContractViolationError(
             f"expect_c needs an AdditiveObservable, got {type(a).__name__}")
-    emat = None if isinstance(eta, ZDiagonal) else _mat(eta)
-    shape = (eta.dim, eta.dim) if emat is None else emat.shape
+    emat = None if isinstance(eta, PauliTerms) else np.asarray(eta)
+    shape = (1 << eta.n,) * 2 if emat is None else emat.shape
     if shape != (rho.dim, rho.dim) or a.n != rho.n:
         raise ContractViolationError("expect_c dimension mismatch")
     if emat is None:
-        val = a.terms().double_commutator(eta.terms()).expect(rho)
+        val = a.terms().double_commutator(eta).expect(rho)
     else:
         form = _catness_form(*_state_factors(rho)[:2], [a])
         side = emat if form.basis is None else form.basis @ emat @ form.basis.conj().T
@@ -157,21 +157,21 @@ def interval_c_closed(n: int, m_lo: int, m_hi: int, betah: float) -> float:
     return n * n * t * t * i_function(n, lo, hi) + top * (n - hi) + bot * (n + lo)
 
 
-def optimal_witness(rho: QuantumState, a: AdditiveObservable) -> tuple[Operator, float]:
+def optimal_witness(rho: QuantumState, a: AdditiveObservable) -> tuple[np.ndarray, float]:
     """Best projector eta for Tr[rho C_{A,eta}] and the value it attains.
 
     By cyclic invariance the trace equals Tr[eta D] with D = [A, [A, rho]],
     so the exact maximum over projectors is the positive eigenspace of D and
     the value is the sum of D's positive eigenvalues, half the trace norm.
     D is eigensolved as its form F = B D B^dagger (_catness_form), and eta's
-    eigenvectors go back through the basis B: eta is the one d x d array.
+    eigenvectors go back through B: eta, a plain array, is the one d x d array.
     """
     form = _catness_form(*_state_factors(rho)[:2], [a])
     w, u = _herm_eigh(form.forms[0], "[A, [A, rho]]")
     scale = 1.0 + float(np.abs(w).max(initial=0.0))
     sel = w > _EIG_FLOOR * scale
     vecs = u[:, sel] if form.basis is None else form.basis.conj().T @ u[:, sel]
-    return Operator(vecs @ vecs.conj().T), float(w[sel].sum())
+    return vecs @ vecs.conj().T, float(w[sel].sum())
 
 
 def q_functional(rho: QuantumState, a: AdditiveObservable) -> float:
@@ -488,7 +488,7 @@ def fixture_states(kind: str, n: int) -> FactoredState:
     return FactoredState(vecs, np.full(len(groups), 1.0 / len(groups)))
 
 
-def witness_w(n: int) -> Operator:
+def witness_w(n: int) -> np.ndarray:
     """Hopping witness between each |0_i> and its global complement.
 
     Eigenvalues are {0, +1, -1} for n >= 3; at n = 2 the flipped pairs
@@ -503,4 +503,4 @@ def witness_w(n: int) -> Operator:
         i0, i1 = _flipped_pair(n, site)
         mat[i0, i1] += 1.0
         mat[i1, i0] += 1.0
-    return Operator(mat)
+    return mat

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DomainError, ImpossibleOutcomeError
 from .indices import expect_c
-from .spincore import (FactoredState, QuantumState, WindowState, ZDiagonal,
+from .spincore import (FactoredState, PauliTerms, QuantumState, WindowState,
                        _check_cap, _check_outcome_parity, _window_mask,
                        mz_interval_projector, mz_projector, mz_values,
                        total_magnetization)
@@ -52,8 +52,8 @@ class OutcomeSpec:
     def is_exact(self) -> bool:
         return self.kind == "exact"
 
-    def projector(self, n: int) -> ZDiagonal:
-        """The outcome's projector, kept as its diagonal (no d x d matrix)."""
+    def projector(self, n: int) -> PauliTerms:
+        """The outcome's projector, a PauliTerms with one diagonal term."""
         if self.is_exact:
             return mz_projector(n, self.m_lo)
         return mz_interval_projector(n, self.m_lo, self.m_hi)

@@ -32,8 +32,7 @@ from .records import mix_seed
 from .spincore import (QuantumState, additive_observable, herm_expm,
                        mz_interval_projector, mz_projector, mz_values,
                        pauli_site, pure_state, snap_interval,
-                       total_magnetization, uniform_observable,
-                       unitary_evolution)
+                       total_magnetization, uniform_observable)
 from .thermal import (SpinHamiltonian, gibbs_state, log_free_partition_eq,
                       log_free_partition_post, log_interval_partition_post,
                       xyz_c_expansion, xyz_c_expansion_jperp,
@@ -100,20 +99,20 @@ def _fam_pauli_algebra(max_n: int, rng, ck: _Collector) -> None:
     dim = 1 << n
     eye = np.eye(dim)
     for site in (1, n):
-        x = pauli_site("x", site, n).mat
-        y = pauli_site("y", site, n).mat
-        z = pauli_site("z", site, n).mat
+        x = pauli_site("x", site, n)
+        y = pauli_site("y", site, n)
+        z = pauli_site("z", site, n)
         ck.ok(f"x^2=I at site {site}", np.abs(x @ x - eye).max() < 1e-14)
         ck.ok(f"xy=iz at site {site}", np.abs(x @ y - 1j * z).max() < 1e-14)
         ck.ok(f"{{x,y}}=0 at site {site}", np.abs(x @ y + y @ x).max() < 1e-14)
-    mz = total_magnetization("z", n).realize().mat
+    mz = total_magnetization("z", n).realize()
     ck.ok("Mz diagonal equals the sector table",
           np.abs(np.diag(mz).real - mz_values(n)).max() < 1e-14)
     coeffs = rng.normal(size=(n, 3))
     obs = additive_observable(coeffs)
     block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
     ck.ok("matrix-free application matches the dense realization",
-          np.abs(obs.terms().apply(block) - obs.realize().mat @ block).max() < 1e-12)
+          np.abs(obs.terms().apply(block) - obs.realize() @ block).max() < 1e-12)
 
 
 def _fam_projector_algebra(max_n: int, rng, ck: _Collector) -> None:
@@ -121,20 +120,20 @@ def _fam_projector_algebra(max_n: int, rng, ck: _Collector) -> None:
     dim = 1 << n
     total = np.zeros((dim, dim), dtype=complex)
     for m in range(-n, n + 1, 2):
-        p = mz_projector(n, m).mat
+        p = mz_projector(n, m).dense()
         ck.ok(f"projector m={m} idempotent", np.abs(p @ p - p).max() <= 1e-12)
         total += p
     ck.ok("sector projectors resolve the identity",
           np.abs(total - np.eye(dim)).max() <= 1e-12)
-    p0 = mz_projector(n, -n + 2).mat
-    p1 = mz_projector(n, n - 2).mat
+    p0 = mz_projector(n, -n + 2).dense()
+    p1 = mz_projector(n, n - 2).dense()
     ck.ok("distinct sectors are orthogonal", np.abs(p0 @ p1).max() <= 1e-14)
-    window = mz_interval_projector(n, -2, 4).mat
-    manual = sum(mz_projector(n, m).mat for m in range(-2, 5, 2))
+    window = mz_interval_projector(n, -2, 4).dense()
+    manual = sum(mz_projector(n, m).dense() for m in range(-2, 5, 2))
     ck.ok("interval projector is exactly the sector sum",
           np.array_equal(window, manual))
     ck.ok("collapsed interval equals the point projector bitwise",
-          np.array_equal(mz_interval_projector(n, 0, 0).mat, mz_projector(n, 0).mat))
+          np.array_equal(mz_interval_projector(n, 0, 0).dense(), mz_projector(n, 0).dense()))
     ck.ok("snap clamps to the physical range", snap_interval(n, -99, 99) == (-n, n))
     ck.ok("snap moves odd bounds inward", snap_interval(n, -3, 3) == (-2, 2))
     ck.raises("empty window rejected", InvalidOutcomeError, snap_interval, n, 1, 1)
@@ -146,21 +145,19 @@ def _fam_herm_expm_roundtrip(max_n: int, rng, ck: _Collector) -> None:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = 0.5 * (g + g.conj().T)
     spectral = float(np.abs(np.linalg.eigvalsh(h)).max())
-    fwd = herm_expm(h, 5.0 / spectral).mat
-    bwd = herm_expm(h, -5.0 / spectral).mat
+    fwd = herm_expm(h, 5.0 / spectral)
+    bwd = herm_expm(h, -5.0 / spectral)
     ck.ok("exp(sH) exp(-sH) = I absolutely at moderate ||sH||",
           np.abs(fwd @ bwd - np.eye(dim)).max() <= 1e-10)
-    fwd = herm_expm(h, 20.0 / spectral).mat
-    bwd = herm_expm(h, -20.0 / spectral).mat
+    fwd = herm_expm(h, 20.0 / spectral)
+    bwd = herm_expm(h, -20.0 / spectral)
     cond = float(np.abs(fwd).max()) * float(np.abs(bwd).max())
     ck.ok("roundtrip defect stays at the conditioning floor at ||sH|| = 20",
           np.abs(fwd @ bwd - np.eye(dim)).max() <= 1e-10 * cond)
     eps = 1e-5 / max(np.abs(h).max(), 1.0)
     series = np.eye(dim) + eps * h + 0.5 * eps * eps * (h @ h)
     ck.ok("short-time expansion matches to second order",
-          np.abs(herm_expm(h, eps).mat - series).max() <= 1e-12)
-    u = unitary_evolution(h, 0.7).mat
-    ck.ok("propagator is unitary", np.abs(u @ u.conj().T - np.eye(dim)).max() <= 1e-12)
+          np.abs(herm_expm(h, eps) - series).max() <= 1e-12)
 
 
 def _dense_double_commutator(amat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -177,7 +174,7 @@ def _fam_cyclic_trace(max_n: int, rng, ck: _Collector) -> None:
         eta = np.diag((rng.random(dim) < 0.5).astype(complex))
         lhs = expect_c(rho, a, eta)
         rhs = float(np.einsum("ij,ji->", eta,
-                              _dense_double_commutator(a.realize().mat, rho.mat)).real)
+                              _dense_double_commutator(a.realize(), rho.mat)).real)
         ck.ok(f"trace can cycle through the double commutator (trial {trial})",
               abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs)))
 
@@ -186,14 +183,14 @@ def _fam_partition_free(max_n: int, rng, ck: _Collector) -> None:
     beta, h = 0.7, 1.3
     for n in dict.fromkeys((2, min(5, max_n), min(8, max_n))):
         ham = SpinHamiltonian(n=n, h=h)
-        ebh = herm_expm(ham.realize(), -beta).mat
+        ebh = herm_expm(ham.realize(), -beta)
         ck.close(f"free partition n={n}", float(np.trace(ebh).real),
                  math.exp(log_free_partition_eq(n, beta * h)), 1e-10)
         for m in (n, n - 2):
-            p = mz_projector(n, m).mat
+            p = mz_projector(n, m).dense()
             ck.close(f"sector weight n={n} m={m}", float(np.trace(p @ ebh).real),
                      math.exp(log_free_partition_post(n, m, beta * h)), 1e-10)
-        win = mz_interval_projector(n, -n, 0).mat
+        win = mz_interval_projector(n, -n, 0).dense()
         ck.close(f"window weight n={n}", float(np.trace(win @ ebh).real),
                  math.exp(log_interval_partition_post(n, -n, 0, beta * h)), 1e-10)
     big = 1000
@@ -302,8 +299,8 @@ def _fam_xyz_expansion(max_n: int, rng, ck: _Collector) -> None:
 
     def dense_zpost(j, beta):
         ham = SpinHamiltonian(n=n, h=h, j=j)
-        p = mz_projector(n, m).mat
-        return float(np.trace(p @ herm_expm(ham.realize(), -beta).mat).real)
+        p = mz_projector(n, m).dense()
+        return float(np.trace(p @ herm_expm(ham.realize(), -beta)).real)
 
     j = (0.3, 0.2, 0.4)
     r = [abs(dense_c(j, b) - xyz_c_expansion(n, m, b, h, j)) for b in betas]
@@ -333,7 +330,7 @@ def _fam_witness_machinery(max_n: int, rng, ck: _Collector) -> None:
         ck.ok(f"optimal projector attains its value (trial {trial})",
               abs(expect_c(rho, a, eta) - val) <= 1e-10 * (1.0 + abs(val)))
         ck.ok(f"optimal eta idempotent (trial {trial})",
-              np.abs(eta.mat @ eta.mat - eta.mat).max() <= 1e-12)
+              np.abs(eta @ eta - eta).max() <= 1e-12)
     mz = total_magnetization("z", n)
     ck.ok("classical mixture has zero q functional",
           q_functional(fixture_states("rho_ex2", n), mz) <= 1e-12)
@@ -341,10 +338,10 @@ def _fam_witness_machinery(max_n: int, rng, ck: _Collector) -> None:
     ck.close("cat state attains 2 n^2", cat_val, 2.0 * n * n, 1e-10)
     ck.close("one-flip mixture q functional", q_functional(fixture_states("rho_ex1", n), mz),
              4.0 * (n - 2) ** 2, 1e-10)
-    w5 = np.linalg.eigvalsh(witness_w(5).mat)
+    w5 = np.linalg.eigvalsh(witness_w(5))
     ck.ok("hopping witness spectrum is {-1, 0, 1}",
           np.abs(w5 - np.round(w5)).max() <= 1e-12 and set(np.round(w5)) <= {-1.0, 0.0, 1.0})
-    overlap = float(np.trace(fixture_states("rho_ex1", n).mat @ witness_w(n).mat).real)
+    overlap = float(np.trace(fixture_states("rho_ex1", n).mat @ witness_w(n)).real)
     ck.close("one-flip mixture saturates the hopping witness", overlap, 1.0, 1e-12)
 
 
@@ -436,8 +433,8 @@ def _fam_pauli_decomposition(max_n: int, rng, ck: _Collector) -> None:
     n, m = 4, 0
     dec = pauli_decomposition_c(n, m)
     rebuilt = sum(c * _string_matrix(s) for s, c in dec.terms)
-    target = _dense_double_commutator(total_magnetization("x", n).realize().mat,
-                                      mz_projector(n, m).mat)
+    target = _dense_double_commutator(total_magnetization("x", n).realize(),
+                                      mz_projector(n, m).dense())
     ck.ok("pauli strings rebuild the witness operator",
           np.abs(rebuilt - target).max() <= 1e-10)
     ck.ok(f"grouping stays within the pairwise bound ({dec.settings_count})",

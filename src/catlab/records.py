@@ -1,6 +1,7 @@
 """Output records: a fixed-schema CSV, a JSONL mirror, and seed derivation.
 
-The CSV is byte-deterministic for a given configuration: floats are
+The CSV is byte-deterministic for a given configuration and BLAS thread
+count (the thread count moves the last digits of the floats): floats are
 rendered with %.17g (round-trip exact), absent values are empty fields,
 newlines are LF, and the wall-clock column is always left empty there.
 Timing and timestamps go to the JSONL stream, which is the non-

@@ -30,8 +30,8 @@ rows in support(). A state built from such a spectrum (SpectralState) keeps
 it and its weights and gathers entries from the rows at the orbit
 representatives; a measured state (WindowState) keeps its block on the
 measured window; a pure state or a low-rank mixture (FactoredState) keeps
-its orthonormal columns and weights. Magnetization projectors are kept as
-their diagonal (ZDiagonal). All four build their dense view only on request.
+its orthonormal columns and weights. All three build their dense view only
+on request. A magnetization projector is a PauliTerms with one diagonal term.
 
 Basis convention, shared by all modules: computational z basis, ordered
 lexicographically with site 1 as the most significant tensor factor, and
@@ -194,9 +194,20 @@ def pauli_terms(n: int, site_coeffs=None, bonds=()) -> PauliTerms:
     return PauliTerms(n, flips)
 
 
+def _herm_eigh(mat: np.ndarray, what: str, _values_only: bool = False):
+    """eigh, or eigvalsh with _values_only, of a Hermitian array: the one
+    dense eigensolve. Both read one triangle only, so a matrix further than
+    HERM_TOL (relative to its largest entry) from Hermitian is rejected."""
+    mat = np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float)
+    scale = 1.0 + float(np.abs(mat).max(initial=0.0))
+    if float(np.abs(mat - mat.conj().T).max(initial=0.0)) > HERM_TOL * scale:
+        raise ContractViolationError(f"{what} must be Hermitian")
+    return np.linalg.eigvalsh(mat) if _values_only else np.linalg.eigh(mat)
+
+
 @dataclass(frozen=True, eq=False)
-class Operator:
-    """A dense operator on the full register Hilbert space."""
+class QuantumState:
+    """A density matrix, read through entries(); purity is cached on first access."""
 
     mat: np.ndarray
 
@@ -207,62 +218,6 @@ class Operator:
     @property
     def n(self) -> int:
         return self.dim.bit_length() - 1
-
-
-class ZDiagonal(Operator):
-    """A z-diagonal operator, such as a magnetization projector, kept as its
-    diagonal. The dense .mat is built on first access only; the pipeline
-    reads the diagonal through terms() and the bit-operation kernel."""
-
-    def __init__(self, diag: np.ndarray):
-        object.__setattr__(self, "diag", diag)
-
-    def __repr__(self) -> str:
-        return f"ZDiagonal(dim={self.dim})"
-
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
-
-    @cached_property
-    def mat(self) -> np.ndarray:
-        return np.diag(self.diag.astype(complex))
-
-    def terms(self) -> PauliTerms:
-        return PauliTerms(self.n, {0: self.diag})
-
-
-def as_operator(mat: np.ndarray) -> Operator:
-    """Wrap a square matrix, validating the power-of-two dimension."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ContractViolationError("operator must be a square matrix")
-    dim = mat.shape[0]
-    if dim < 2 or dim & (dim - 1):
-        raise ContractViolationError(f"dimension {dim} is not a power of two")
-    return Operator(mat)
-
-
-def _mat(op) -> np.ndarray:
-    """The dense matrix of an Operator or array; a real array stays real."""
-    if isinstance(op, Operator):
-        return op.mat
-    return np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
-
-
-def _herm_eigh(op, what: str, _values_only: bool = False):
-    """eigh, or eigvalsh with _values_only, of a Hermitian Operator or array:
-    the one dense eigensolve. Both read one triangle only, so a matrix further
-    than HERM_TOL (relative to its largest entry) from Hermitian is rejected."""
-    mat = _mat(op)
-    scale = 1.0 + float(np.abs(mat).max(initial=0.0))
-    if float(np.abs(mat - mat.conj().T).max(initial=0.0)) > HERM_TOL * scale:
-        raise ContractViolationError(f"{what} must be Hermitian")
-    return np.linalg.eigvalsh(mat) if _values_only else np.linalg.eigh(mat)
-
-
-class QuantumState(Operator):
-    """A density matrix, read through entries(); purity is cached on first access."""
 
     @cached_property
     def purity(self) -> float:
@@ -387,14 +342,7 @@ def as_state(mat: np.ndarray) -> QuantumState:
     The PSD check runs a dense eigenvalue solve, so internal constructions
     that are positive by construction call QuantumState directly.
     """
-    state = QuantumState(np.asarray(mat, dtype=complex))
-    check_state(state)
-    return state
-
-
-def check_state(state: QuantumState) -> None:
-    """Raise unless the matrix is a valid density matrix."""
-    mat = state.mat
+    mat = np.asarray(mat, dtype=complex)
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > 1e-12:
         raise ContractViolationError(f"state trace {tr} is not 1")
@@ -402,6 +350,7 @@ def check_state(state: QuantumState) -> None:
     if float(evals.min()) < PSD_FLOOR:
         raise ContractViolationError(
             f"state has eigenvalue {evals.min():.3e} below the PSD floor")
+    return QuantumState(mat)
 
 
 def pure_state(vec: np.ndarray) -> FactoredState:
@@ -431,10 +380,10 @@ class AdditiveObservable:
     def terms(self) -> PauliTerms:
         return pauli_terms(self.n, self.site_coeffs)
 
-    def realize(self) -> Operator:
+    def realize(self) -> np.ndarray:
         """Dense matrix sum_i (c_x sigma_x^i + c_y sigma_y^i + c_z sigma_z^i)."""
         _check_cap(self.n)
-        return Operator(self.terms().dense())
+        return self.terms().dense()
 
 
 def additive_observable(site_coeffs) -> AdditiveObservable:
@@ -465,11 +414,11 @@ def uniform_observable(direction, n: int) -> AdditiveObservable:
 
 
 @lru_cache(maxsize=None)
-def pauli_site(axis: str, site: int, n: int) -> Operator:
+def pauli_site(axis: str, site: int, n: int) -> np.ndarray:
     """sigma_axis acting on one site of an n-spin register, as a dense matrix.
 
     Sites are numbered 1..n with site 1 as the most significant factor.
-    Every result is cached; the pipeline itself never calls this.
+    Every result is cached and read-only; the pipeline itself never calls this.
     """
     _check_axis(axis)
     _check_cap(n)
@@ -479,7 +428,7 @@ def pauli_site(axis: str, site: int, n: int) -> Operator:
     coeffs[site - 1, _AXES.index(axis)] = 1.0
     mat = pauli_terms(n, coeffs).dense()
     mat.setflags(write=False)
-    return Operator(mat)
+    return mat
 
 
 @lru_cache(maxsize=None)
@@ -499,14 +448,14 @@ def _window_mask(n: int, m_lo: int, m_hi: int) -> np.ndarray:
     return mask
 
 
-def mz_projector(n: int, m: int) -> ZDiagonal:
-    """Projector onto the total-magnetization sector M_z = m."""
+def mz_projector(n: int, m: int) -> PauliTerms:
+    """Projector onto the total-magnetization sector M_z = m, as its diagonal."""
     _check_cap(n)
     _check_outcome_parity(n, m)
-    return ZDiagonal(_window_mask(n, m, m).astype(float))
+    return PauliTerms(n, {0: _window_mask(n, m, m).astype(float)})
 
 
-def mz_interval_projector(n: int, m_lo: int, m_hi: int) -> ZDiagonal:
+def mz_interval_projector(n: int, m_lo: int, m_hi: int) -> PauliTerms:
     """Projector onto m_lo <= M_z <= m_hi.
 
     Equals the sum of mz_projector over the parity-valid magnetizations in
@@ -515,7 +464,7 @@ def mz_interval_projector(n: int, m_lo: int, m_hi: int) -> ZDiagonal:
     _check_cap(n)
     if m_lo > m_hi:
         raise InvalidOutcomeError(f"empty interval [{m_lo}, {m_hi}]")
-    return ZDiagonal(_window_mask(n, m_lo, m_hi).astype(float))
+    return PauliTerms(n, {0: _window_mask(n, m_lo, m_hi).astype(float)})
 
 
 def _check_outcome_parity(n: int, m: int) -> None:
@@ -737,19 +686,12 @@ class SpectralState(QuantumState):
         return out
 
 
-def herm_expm(h_op, scale: float) -> Operator:
+def herm_expm(hmat: np.ndarray, scale: float) -> np.ndarray:
     """exp(scale * H) for Hermitian H, via full eigendecomposition.
 
     Spectral mapping is exact and the spectrum is reused elsewhere, so no
     scaling-and-squaring is involved.
     """
-    w, v = _herm_eigh(h_op, "herm_expm input")
+    w, v = _herm_eigh(hmat, "herm_expm input")
     out = (v * np.exp(scale * w)) @ v.conj().T
-    out = 0.5 * (out + out.conj().T)
-    return Operator(out)
-
-
-def unitary_evolution(h_op, t: float) -> Operator:
-    """Propagator exp(-i H t) for Hermitian H."""
-    w, v = _herm_eigh(h_op, "propagator input")
-    return Operator((v * np.exp(-1j * w * t)) @ v.conj().T)
+    return 0.5 * (out + out.conj().T)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import ContractViolationError, DomainError
-from .spincore import (Operator, PauliTerms, QuantumState, SpectralState,
+from .spincore import (PauliTerms, QuantumState, SpectralState,
                        SymmetrySpectrum, _bit_table, _check_cap,
                        _check_outcome_parity, mz_values, pauli_terms,
                        snap_interval, symmetry_eigh)
@@ -67,10 +67,10 @@ class SpinHamiltonian:
         minus_j = tuple(-v for v in self.j)
         return pauli_terms(self.n, coeffs, [(a, b, minus_j) for a, b in self.bonds()])
 
-    def realize(self) -> Operator:
+    def realize(self) -> np.ndarray:
         """Dense real view of H, written entry by entry from terms()."""
         _check_cap(self.n)
-        return Operator(self.terms().dense())
+        return self.terms().dense()
 
 
 def _spectrum(ham: SpinHamiltonian) -> SymmetrySpectrum:

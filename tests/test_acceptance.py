@@ -225,7 +225,7 @@ def test_criterion_07_witness_identities(capsys):
     w_err = 0.0
     for n in (3, 5):
         mix = fixture_states("rho_ex1", n)
-        w_err = max(w_err, abs(np.trace(mix.mat @ witness_w(n).mat).real - 1.0))
+        w_err = max(w_err, abs(np.trace(mix.mat @ witness_w(n)).real - 1.0))
     q_zero = q_functional(fixture_states("rho_ex2", 4), total_magnetization("z", 4))
     rng = np.random.default_rng(2024)
     half_err = 0.0

@@ -39,9 +39,9 @@ from catlab.spincore import (
     herm_expm,
     mz_interval_projector,
     mz_projector,
+    pauli_terms,
     pure_state,
     total_magnetization,
-    unitary_evolution,
 )
 from catlab.thermal import SpinHamiltonian, gibbs_state
 
@@ -117,6 +117,39 @@ def test_expect_c_invariant_under_global_flip():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_expect_c_reads_any_pauli_terms_eta_through_the_kernel():
+    # a Hermitian eta off the z diagonal: site terms with y parts, plus bonds
+    n = 4
+    rng = np.random.default_rng(19)
+    site = rng.standard_normal((n, 3))
+    bonds = [(1, 2, (0.3, -0.5, 0.2)), (2, 4, (-0.7, 0.4, 0.1)), (4, 1, (0.6, 0.0, -0.3))]
+    eta = pauli_terms(n, site, bonds)
+    emat = sum(site[s - 1, k] * denseref.site_operator(axis, s, n)
+               for s in range(1, n + 1) for k, axis in enumerate("xyz"))
+    for a, b, j in bonds:
+        emat = emat + sum(c * denseref.site_operator(axis, a, n)
+                          @ denseref.site_operator(axis, b, n) for c, axis in zip(j, "xyz"))
+    np.testing.assert_allclose(eta.dense(), emat, rtol=0, atol=1e-14)
+    coeffs = rng.standard_normal((n, 3))
+    obs = additive_observable(coeffs)
+    amat = sum(coeffs[s - 1, k] * denseref.site_operator(axis, s, n)
+               for s in range(1, n + 1) for k, axis in enumerate("xyz"))
+    ham = SpinHamiltonian(n=n, h=1.0, j=(0.3, 0.2, 0.4))
+    states = [as_state(denseref.random_density_matrix(n, rng)), fixture_states("psi2", n),
+              post_state(gibbs_state(ham, 0.8), OutcomeSpec.interval(-2, 2))]
+    for rho in states:
+        got = expect_c(rho, obs, eta)
+        want = denseref.catness(rho.mat, amat, emat)
+        assert abs(want) > 0.5
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(expect_c(rho, obs, emat), rel=1e-12)
+    rho = states[0]
+    with pytest.raises(ContractViolationError):
+        expect_c(rho, obs, rho)
+    with pytest.raises(ContractViolationError):
+        expect_c(rho, obs, pauli_terms(n + 1, np.ones((n + 1, 3))))
+
+
 def test_i_function_limits_and_bounds():
     n = 8
     assert i_function(n, 0, 0) == pytest.approx(1.0, rel=1e-13)
@@ -152,7 +185,7 @@ def test_interval_c_closed_matches_dense():
     mx = denseref.magnetization("x", n)
     for lo, hi in ((0, 0), (-2, 2), (2, 6), (-6, 6)):
         post = post_state(rho, OutcomeSpec.interval(lo, hi))
-        proj = mz_interval_projector(n, lo, hi).mat
+        proj = mz_interval_projector(n, lo, hi).dense()
         want = denseref.catness(post.mat, mx, proj)
         assert interval_c_closed(n, lo, hi, betah) == pytest.approx(
             want, rel=1e-10, abs=1e-10)
@@ -165,8 +198,8 @@ def test_optimal_witness_attains_half_trace_norm():
     eta, value = optimal_witness(post, a)
     assert value == pytest.approx(0.5 * q_functional(post, a), rel=1e-12)
     # the witness is a projector and reproduces its own value
-    np.testing.assert_allclose(eta.mat @ eta.mat, eta.mat, atol=1e-10)
-    np.testing.assert_allclose(eta.mat, eta.mat.conj().T, atol=1e-12)
+    np.testing.assert_allclose(eta @ eta, eta, atol=1e-10)
+    np.testing.assert_allclose(eta, eta.conj().T, atol=1e-12)
     assert expect_c(post, a, eta) == pytest.approx(value, rel=1e-10)
 
 
@@ -224,8 +257,8 @@ def test_every_witness_reads_the_factor_form(kind):
         lam = np.linalg.eigvalsh(comm)
         proj, value = optimal_witness(rho, a)
         assert value == pytest.approx(denseref.optimal_catness(want_rho, amat), rel=1e-12)
-        assert denseref.catness(want_rho, amat, proj.mat) == pytest.approx(value, rel=1e-12)
-        assert np.trace(proj.mat).real == pytest.approx(
+        assert denseref.catness(want_rho, amat, proj) == pytest.approx(value, rel=1e-12)
+        assert np.trace(proj).real == pytest.approx(
             np.count_nonzero(lam > 1e-9 * np.abs(lam).max()), abs=1e-9)
         assert q_functional(rho, a) == pytest.approx(denseref.trace_norm(comm), rel=1e-12)
         assert expect_c(rho, a, eta) == pytest.approx(
@@ -240,7 +273,7 @@ def test_witness_value_zero_when_observable_commutes():
     assert q_functional(rho, a) == pytest.approx(0.0, abs=1e-12)
     eta, value = optimal_witness(rho, a)
     assert value == 0.0
-    np.testing.assert_allclose(eta.mat, 0.0, atol=1e-12)
+    np.testing.assert_allclose(eta, 0.0, atol=1e-12)
 
 
 def test_q_functional_known_values():
@@ -511,11 +544,11 @@ def test_cat_fixtures_are_orthogonal_superpositions():
 def test_witness_w_spectrum_and_expectation():
     for n in (3, 5):
         w = witness_w(n)
-        vals = np.linalg.eigvalsh(w.mat)
+        vals = np.linalg.eigvalsh(w)
         np.testing.assert_allclose(np.unique(np.round(vals, 9)), [-1.0, 0.0, 1.0],
                                    atol=1e-12)
         mix = fixture_states("rho_ex1", n)
-        assert np.trace(mix.mat @ w.mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(mix.mat @ w).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_exponent_recovers_exact_power_law():
@@ -746,7 +779,6 @@ def test_search_reads_a_window_state_through_its_block():
 
 _NON_HERMITIAN_CALLS = {
     "herm_expm": lambda mat: herm_expm(mat, 1.0),
-    "unitary_evolution": lambda mat: unitary_evolution(mat, 1.0),
     "q_functional": lambda mat: q_functional(QuantumState(mat), total_magnetization("x", 3)),
     "expect_c": lambda mat: expect_c(QuantumState(mat), total_magnetization("x", 3),
                                      np.eye(8)),

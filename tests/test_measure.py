@@ -48,10 +48,10 @@ def test_outcome_spec_kinds():
 def test_outcome_spec_projector_and_mask():
     spec = OutcomeSpec.interval(0, 2)
     proj = spec.projector(4)
-    np.testing.assert_allclose(proj.mat, denseref.sector_projector(4, 0, 2),
+    np.testing.assert_allclose(proj.dense(), denseref.sector_projector(4, 0, 2),
                                atol=ATOL)
     mask = spec.mask(4)
-    np.testing.assert_array_equal(mask, np.diag(proj.mat).real.astype(bool))
+    np.testing.assert_array_equal(mask, np.diag(proj.dense()).astype(bool))
 
 
 def test_distribution_support_and_normalization():

@@ -29,7 +29,6 @@ from catlab.spincore import (
     symmetry_eigh,
     total_magnetization,
     uniform_observable,
-    unitary_evolution,
 )
 from catlab.thermal import SpinHamiltonian
 
@@ -47,26 +46,26 @@ def test_pauli_site_matches_kron_chain():
     for n in (2, 3, 4):
         for axis in "xyz":
             for site in range(1, n + 1):
-                got = pauli_site(axis, site, n).mat
+                got = pauli_site(axis, site, n)
                 want = denseref.site_operator(axis, site, n)
                 np.testing.assert_allclose(got, want, atol=ATOL)
 
 
 def test_pauli_site_algebra():
     n = 3
-    sx = pauli_site("x", 2, n).mat
-    sy = pauli_site("y", 2, n).mat
-    sz = pauli_site("z", 2, n).mat
+    sx = pauli_site("x", 2, n)
+    sy = pauli_site("y", 2, n)
+    sz = pauli_site("z", 2, n)
     np.testing.assert_allclose(sx @ sx, np.eye(2**n), atol=ATOL)
     np.testing.assert_allclose(sx @ sy - sy @ sx, 2.0j * sz, atol=ATOL)
     # different sites commute
-    other = pauli_site("y", 1, n).mat
+    other = pauli_site("y", 1, n)
     np.testing.assert_allclose(sx @ other, other @ sx, atol=ATOL)
 
 
 def test_total_magnetization_matches_site_sum():
     for axis in "xyz":
-        got = total_magnetization(axis, 4).realize().mat
+        got = total_magnetization(axis, 4).realize()
         want = denseref.magnetization(axis, 4)
         np.testing.assert_allclose(got, want, atol=ATOL)
 
@@ -79,10 +78,10 @@ def test_mz_values_counts_cleared_bits():
 
 def test_site_one_is_most_significant_bit():
     n = 3
-    sz1 = pauli_site("z", 1, n).mat
+    sz1 = pauli_site("z", 1, n)
     # index 0b011 has site 1 up, sites 2 and 3 down
     assert sz1[3, 3] == pytest.approx(1.0)
-    sz3 = pauli_site("z", 3, n).mat
+    sz3 = pauli_site("z", 3, n)
     assert sz3[3, 3] == pytest.approx(-1.0)
 
 
@@ -182,7 +181,7 @@ def test_symmetry_group_tables_on_the_six_site_ring():
 
 def test_uniform_observable_realizes_magnetization():
     direction = np.array([0.6, 0.0, 0.8])
-    got = uniform_observable(direction, 3).realize().mat
+    got = uniform_observable(direction, 3).realize()
     want = 0.6 * denseref.magnetization("x", 3) + 0.8 * denseref.magnetization("z", 3)
     np.testing.assert_allclose(got, want, atol=ATOL)
 
@@ -190,7 +189,7 @@ def test_uniform_observable_realizes_magnetization():
 def test_mz_projector_matches_reference():
     for n in (2, 3, 4):
         for m in range(-n, n + 1, 2):
-            got = mz_projector(n, m).mat
+            got = mz_projector(n, m).dense()
             want = denseref.sector_projector(n, m, m)
             np.testing.assert_allclose(got, want, atol=ATOL)
 
@@ -207,7 +206,7 @@ def test_mz_projector_rejects_bad_parity():
 def test_projectors_resolve_identity(n):
     total = np.zeros((2**n, 2**n), dtype=complex)
     for m in range(-n, n + 1, 2):
-        p = mz_projector(n, m).mat
+        p = mz_projector(n, m).dense()
         np.testing.assert_allclose(p @ p, p, atol=ATOL)
         np.testing.assert_allclose(p, p.conj().T, atol=ATOL)
         total += p
@@ -217,7 +216,7 @@ def test_projectors_resolve_identity(n):
 def test_interval_projector_snaps_inward():
     p = mz_interval_projector(4, -1, 3)
     want = denseref.sector_projector(4, 0, 2)
-    np.testing.assert_allclose(p.mat, want, atol=ATOL)
+    np.testing.assert_allclose(p.dense(), want, atol=ATOL)
 
 
 def test_interval_projector_rejects_empty_window():
@@ -254,39 +253,27 @@ def test_herm_expm_matches_scipy():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     hmat = (g + g.conj().T) / 2.0
-    from catlab.spincore import as_operator
-    got = herm_expm(as_operator(hmat), -0.7).mat
+    got = herm_expm(hmat, -0.7)
     want = denseref.scipy.linalg.expm(-0.7 * hmat)
     np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11)
 
 
 def test_herm_expm_roundtrip_is_conditioning_limited():
-    from catlab.spincore import as_operator
     rng = np.random.default_rng(11)
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     hmat = (g + g.conj().T) / 2.0
     hmat *= 5.0 / np.linalg.norm(hmat, 2)
-    op = as_operator(hmat)
-    fwd = herm_expm(op, 1.0).mat
-    bwd = herm_expm(op, -1.0).mat
+    fwd = herm_expm(hmat, 1.0)
+    bwd = herm_expm(hmat, -1.0)
     defect = np.max(np.abs(fwd @ bwd - np.eye(16)))
     assert defect < 1e-10
     # at scale 20 only the conditioning-aware relative bound is meaningful
     hmat *= 4.0
-    op = as_operator(hmat)
-    fwd = herm_expm(op, 1.0).mat
-    bwd = herm_expm(op, -1.0).mat
+    fwd = herm_expm(hmat, 1.0)
+    bwd = herm_expm(hmat, -1.0)
     defect = np.max(np.abs(fwd @ bwd - np.eye(16)))
     scale = np.max(np.abs(fwd)) * np.max(np.abs(bwd))
     assert defect < 1e-10 * scale
-
-
-def test_unitary_evolution_is_unitary_and_correct():
-    ham = SpinHamiltonian(n=3, h=0.9, j=(0.2, 0.1, 0.3))
-    u = unitary_evolution(ham.realize(), 1.3).mat
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
-    want = denseref.scipy.linalg.expm(-1.3j * denseref.hamiltonian(3, 0.9, (0.2, 0.1, 0.3)))
-    np.testing.assert_allclose(u, want, atol=1e-11)
 
 
 def test_double_commutator_matches_reference():
@@ -337,7 +324,7 @@ def test_kernel_double_commutator_matches_reference():
     # y parts against a Pauli sum with flips and complex amplitudes
     coeffs = rng.standard_normal((n, 3))
     bonds = [(1, 3, (0.4, -0.7, 0.2)), (2, 5, (0.0, 0.3, 0.0))]
-    cases = [(total_magnetization("x", n).terms(), mz_interval_projector(n, -1, 3).terms()),
+    cases = [(total_magnetization("x", n).terms(), mz_interval_projector(n, -1, 3)),
              (additive_observable(coeffs).terms(),
               pauli_terms(n, rng.standard_normal((n, 3)), bonds))]
     for a, e in cases:
@@ -392,7 +379,7 @@ def test_no_caller_reads_a_state_through_its_dense_matrix():
 
 def test_no_low_rank_state_is_built_as_a_dense_matrix():
     # fixtures and pure states are kept as their factors (FactoredState).
-    # witness_w is exempt: it builds the dense Operator that the oracle
+    # witness_w is exempt: it builds the dense array that the oracle
     # reads, so indices.py as a whole keeps one np.zeros((dim, dim))
     def is_square(node):
         return (isinstance(node, ast.Tuple) and len(node.elts) == 2

@@ -49,7 +49,7 @@ def test_realize_matches_reference():
         for boundary in ("periodic", "open"):
             ham = SpinHamiltonian(n=n, h=0.8, j=(0.3, 0.2, 0.4), boundary=boundary)
             want = denseref.hamiltonian(n, 0.8, (0.3, 0.2, 0.4), boundary)
-            np.testing.assert_allclose(ham.realize().mat, want, atol=1e-12)
+            np.testing.assert_allclose(ham.realize(), want, atol=1e-12)
 
 
 def test_gibbs_state_matches_expm():
