@@ -34,11 +34,10 @@ from .records import (CSV_COLUMNS, append_jsonl, mix_seed, read_csv,
                       splitmix64, write_csv)
 from .spincore import (DENSE_CAP, AdditiveObservable, FactoredState,
                        PauliTerms, QuantumState, SpectralState,
-                       SymmetrySpectrum, additive_observable, as_state,
-                       herm_expm, mz_interval_projector, mz_projector,
-                       mz_values, pauli_site, pauli_terms, pure_state,
-                       snap_interval, symmetry_eigh, total_magnetization,
-                       uniform_observable)
+                       additive_observable, as_state, herm_expm,
+                       mz_interval_projector, mz_projector, mz_values,
+                       pauli_site, pauli_terms, pure_state, snap_interval,
+                       symmetry_eigh, total_magnetization, uniform_observable)
 from .thermal import (BOUNDARIES, SpinHamiltonian, gibbs_state, ground_state,
                       log_free_partition_eq, log_free_partition_post,
                       log_interval_partition_post, sector_zz_mean,

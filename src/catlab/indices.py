@@ -52,8 +52,6 @@ class CatnessReport:
     c_value: float
     a_used: AdditiveObservable
     eta_trace: float
-    q_fit: tuple[float, float] | None = None
-    p_fit: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,11 +186,11 @@ def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray, bool]:
 
     A FactoredState gives its own factors, with no eigensolve, and its block
     is scanned in row chunks of at most _GATHER_CHUNK entries. Any other
-    state is eigensolved where rho has a nonzero row or column: exact, as a
-    zero row of a positive semidefinite matrix is a kernel vector, and every
-    nonzero entry stays in the block checked for hermiticity. Eigenvectors,
-    scattered back to length 2^n, are real when that block is; any state
-    but a plain dense one is read through entries(), not .mat.
+    state is read through entries() on its support and eigensolved where rho
+    has a nonzero row or column: exact, as a zero row of a positive
+    semidefinite matrix is a kernel vector, and every nonzero entry stays in
+    the block checked for hermiticity. Eigenvectors, scattered back to
+    length 2^n, are real when that block is.
     """
     rows = rho.support()
     if isinstance(rho, FactoredState):
@@ -202,12 +200,13 @@ def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray, bool]:
                            for lo in range(0, rows.size, step))
         sel = rho.weights > _EIG_FLOOR
         return rho.weights[sel], rho.vecs[:, sel], commutes
-    mat = rho.mat if type(rho) is QuantumState else rho.entries(rows[:, None], rows)
-    nonzero = mat != 0
+    block = rho.entries(rows[:, None], rows)
+    nonzero = block != 0
     keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    block, support = mat[np.ix_(keep, keep)], rows[keep]
-    sectors = mz_values(rho.n)[support]
-    commutes = not (nonzero[np.ix_(keep, keep)] & (sectors[:, None] != sectors)).any()
+    if keep.size < rows.size:  # copy only when a zero row is dropped
+        block, nonzero = block[np.ix_(keep, keep)], nonzero[np.ix_(keep, keep)]
+    support, sectors = rows[keep], mz_values(rho.n)[rows[keep]]
+    commutes = not (nonzero & (sectors[:, None] != sectors)).any()
     w, v = _herm_eigh(block, "state")
     sel = w > _EIG_FLOOR
     vecs = np.zeros((rho.dim, int(sel.sum())), dtype=v.dtype)
@@ -378,8 +377,7 @@ def vcm(pure: QuantumState) -> VcmMatrix:
     if pure.purity <= 1.0 - PURITY_PURE_TOL:
         raise ContractViolationError(
             f"VCM needs a pure state, got purity {pure.purity:.12f}")
-    vecs = pure.vecs if isinstance(pure, FactoredState) else _state_factors(pure)[1]
-    return _vcm_of(vecs[:, -1], pure.n)
+    return _vcm_of(_state_factors(pure)[1][:, -1], pure.n)
 
 
 def _vcm_of(psi: np.ndarray, n: int) -> VcmMatrix:

@@ -27,11 +27,12 @@ momentum and parity blocks of about 2^n / 2n states for a ring, read from
 the bit-operation kernel with no dense matrix. Every read of a state goes
 through QuantumState.entries(rows, cols), and a kernel trace reads only the
 rows in support(). A state built from such a spectrum (SpectralState) keeps
-it and its weights and gathers entries from the rows at the orbit
-representatives; a measured state (WindowState) keeps its block on the
+its group, eigenvectors and weights and gathers entries from the rows at the
+orbit representatives; a measured state (WindowState) keeps its block on the
 measured window; a pure state or a low-rank mixture (FactoredState) keeps
-its orthonormal columns and weights. All three build their dense view only
-on request. A magnetization projector is a PauliTerms with one diagonal term.
+its orthonormal columns and weights. All three gather their dense view
+through entries(), on request only. A magnetization projector is a
+PauliTerms with one diagonal term.
 
 Basis convention, shared by all modules: computational z basis, ordered
 lexicographically with site 1 as the most significant tensor factor, and
@@ -51,7 +52,7 @@ from .errors import (CapacityError, ContractViolationError,
 DENSE_CAP = 12
 HERM_TOL = 1e-12
 PSD_FLOOR = -1e-10
-_GATHER_CHUNK = 1 << 21  # entries per gather step when a SpectralState is assembled
+_GATHER_CHUNK = 1 << 21  # entries per gather step when a state's rows are read in chunks
 
 _AXES = ("x", "y", "z")
 
@@ -237,10 +238,15 @@ class QuantumState:
         idx = np.arange(self.dim)
         return self.entries(idx, idx)
 
-    def block(self, mask: np.ndarray) -> np.ndarray:
-        """rho restricted to the basis states where mask is set."""
-        rows = np.flatnonzero(mask)
-        return self.entries(rows[:, None], rows)
+
+def _dense_view(rho: QuantumState) -> np.ndarray:
+    """The dense rho, gathered through entries() in row chunks."""
+    every = np.arange(rho.dim)
+    out = np.empty((rho.dim, rho.dim), dtype=complex)
+    step = max(1, _GATHER_CHUNK // rho.dim)
+    for lo in range(0, rho.dim, step):
+        out[lo:lo + step] = rho.entries(every[lo:lo + step, None], every)
+    return out
 
 
 class WindowState(QuantumState):
@@ -257,7 +263,7 @@ class WindowState(QuantumState):
         where[rows] = np.arange(rows.size)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_where", where)
-        block = rho.block(mask) * scale
+        block = rho.entries(rows[:, None], rows) * scale
         padded = np.zeros((rows.size + 1, rows.size + 1), dtype=block.dtype)
         padded[:-1, :-1] = block
         object.__setattr__(self, "_block", padded)
@@ -280,11 +286,7 @@ class WindowState(QuantumState):
     def support(self) -> np.ndarray:
         return self.rows
 
-    @cached_property
-    def mat(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[np.ix_(self.rows, self.rows)] = self._block[:-1, :-1]
-        return out
+    mat = cached_property(_dense_view)
 
 
 class FactoredState(QuantumState):
@@ -331,9 +333,7 @@ class FactoredState(QuantumState):
     def support(self) -> np.ndarray:
         return np.flatnonzero((self.vecs != 0).any(axis=1))
 
-    @cached_property
-    def mat(self) -> np.ndarray:
-        return (self.vecs * self.weights) @ self.vecs.conj().T
+    mat = cached_property(_dense_view)
 
 
 def as_state(mat: np.ndarray) -> QuantumState:
@@ -549,40 +549,22 @@ def _symmetry_group(n: int, translation: bool) -> _SymmetryGroup:
     return _SymmetryGroup(n=n, length=length, **tables)
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetrySpectrum:
-    """Eigenpairs of a symmetric Pauli sum, one block per kept character.
-
-    Row c of w and u is the block of character c of group; position j of a
-    row holds an eigenpair where group.valid[c, j] and padding above the
-    spectrum elsewhere. Each row stands for multiplicity[c] characters.
-    """
-
-    group: _SymmetryGroup
-    w: np.ndarray
-    u: np.ndarray
-
-    @property
-    def energies(self) -> np.ndarray:
-        """w with +inf on the padding."""
-        return np.where(self.group.valid, self.w, np.inf)
-
-    @property
-    def multiplicity(self) -> np.ndarray:
-        """(C, 1): how many characters share each row's spectrum."""
-        return self.group.mult[:, None]
-
-
-def symmetry_eigh(terms: PauliTerms, translation: bool) -> SymmetrySpectrum:
-    """Eigensolve of a real Pauli sum blockwise over its symmetry characters.
+def symmetry_eigh(terms: PauliTerms, translation: bool
+                  ) -> tuple[_SymmetryGroup, np.ndarray, np.ndarray]:
+    """Eigensolve of a real Pauli sum blockwise over its symmetry characters,
+    as (group, w, u).
 
     The group is generated by the global flip and, when translation is set,
     the cyclic translation of a ring: an open chain gets the two flip-parity
     blocks of 2^(n-1) states, a ring 2n blocks of about 2^n / 2n. The state
     of orbit a in the block of character chi has the coefficient
     chi(g)* sqrt(|Stab_a| / |G|) on s = g . a, and the block entries are
-    read from the amplitudes of terms, with no dense matrix. Raises unless
-    every amplitude is real and terms commutes with each generator.
+    read from the amplitudes of terms, with no dense matrix. Row c of w and
+    u is the block of character c of group; position j of a row holds an
+    eigenpair where group.valid[c, j] and padding above the spectrum
+    elsewhere. Each row stands for group.mult[c] characters. Raises unless
+    every amplitude is real, terms is Hermitian and it commutes with each
+    generator.
     """
     n = _check_cap(terms.n)
     group = _symmetry_group(n, bool(translation))
@@ -594,6 +576,10 @@ def symmetry_eigh(terms: PauliTerms, translation: bool) -> SymmetrySpectrum:
     for row, amp in zip(amps, terms.flips.values()):
         row[:] = amp
     scale = 1.0 + float(np.abs(amps).max(initial=0.0))
+    # <k ^ f| H |k> = amp_f[k] must equal <k| H |k ^ f>* = amp_f[k ^ f]
+    swapped = np.take_along_axis(amps, np.arange(dim) ^ masks[:, None], axis=1)
+    if np.abs(swapped - amps).max(initial=0.0) > HERM_TOL * scale:
+        raise ContractViolationError("symmetry_eigh input must be Hermitian")
     # F sends k to k ^ (2^n - 1), which reverses the basis order
     if np.abs(amps[:, ::-1] - amps).max(initial=0.0) > HERM_TOL * scale:
         raise ContractViolationError(
@@ -623,14 +609,14 @@ def symmetry_eigh(terms: PauliTerms, translation: bool) -> SymmetrySpectrum:
     c, j = np.nonzero(~group.valid)
     blocks[c, j, j] = 1.0 + np.abs(amps).max(axis=1, initial=0.0).sum()
     w, u = np.linalg.eigh(blocks)
-    return SymmetrySpectrum(group, w, u)
+    return group, w, u
 
 
 class SpectralState(QuantumState):
-    """A density matrix diagonal in the blocks of a SymmetrySpectrum, kept as
-    the spectrum and one weight per eigenvector: the sum of weights[c, j]
-    |v><v| over the eigenvectors v, each row of the spectrum counted
-    multiplicity times. The weights are >= 0 and zero on the padding.
+    """A density matrix diagonal in the blocks of a symmetry_eigh spectrum,
+    kept as the group, the eigenvectors u and one weight per eigenvector:
+    the sum of weights[c, j] |v><v| over the eigenvectors v, each row of u
+    counted group.mult[c] times. The weights are >= 0 and zero on the padding.
 
     It commutes with the group, so rho[s, s'] = rho[rep(s), g_s . s'] where
     g_s . s = rep(s). The rows at the orbit representatives are built once
@@ -638,8 +624,9 @@ class SpectralState(QuantumState):
     the dense .mat (built on first access only) included, goes through it.
     """
 
-    def __init__(self, spectrum: SymmetrySpectrum, weights: np.ndarray):
-        object.__setattr__(self, "spectrum", spectrum)
+    def __init__(self, group: _SymmetryGroup, u: np.ndarray, weights: np.ndarray):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "u", u)
         object.__setattr__(self, "weights", weights)
 
     def __repr__(self) -> str:
@@ -647,17 +634,17 @@ class SpectralState(QuantumState):
 
     @property
     def dim(self) -> int:
-        return 1 << self.spectrum.group.n
+        return 1 << self.group.n
 
     @cached_property
     def purity(self) -> float:
-        return float((self.spectrum.multiplicity * self.weights ** 2).sum())
+        return float((self.group.mult[:, None] * self.weights ** 2).sum())
 
     @cached_property
     def _table(self) -> np.ndarray:
         """table[g, i, r] = <a_i| rho |g . a_r> over the representatives a."""
-        group = self.spectrum.group
-        scaled = self.spectrum.u * np.sqrt(self.weights)[:, None, :]
+        group = self.group
+        scaled = self.u * np.sqrt(self.weights)[:, None, :]
         count, dmax = group.valid.shape
         # one zero row and column at dmax, which pos gives orbits with no state
         blocks = np.zeros((count, dmax + 1, dmax + 1), dtype=complex)
@@ -672,18 +659,11 @@ class SpectralState(QuantumState):
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """rho[rows, cols] read from the table, as real numbers."""
-        group = self.spectrum.group
+        group = self.group
         return self._table[group.compose[group.to_rep[rows], group.to_rep[cols]],
                            group.rep_index[rows], group.rep_index[cols]]
 
-    @cached_property
-    def mat(self) -> np.ndarray:
-        every = np.arange(self.dim)
-        out = np.empty((self.dim, self.dim), dtype=complex)
-        step = max(1, _GATHER_CHUNK // self.dim)
-        for lo in range(0, self.dim, step):
-            out[lo:lo + step] = self.entries(every[lo:lo + step, None], every)
-        return out
+    mat = cached_property(_dense_view)
 
 
 def herm_expm(hmat: np.ndarray, scale: float) -> np.ndarray:

@@ -18,10 +18,9 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import ContractViolationError, DomainError
-from .spincore import (PauliTerms, QuantumState, SpectralState,
-                       SymmetrySpectrum, _bit_table, _check_cap,
-                       _check_outcome_parity, mz_values, pauli_terms,
-                       snap_interval, symmetry_eigh)
+from .spincore import (PauliTerms, QuantumState, SpectralState, _bit_table,
+                       _check_cap, _check_outcome_parity, mz_values,
+                       pauli_terms, snap_interval, symmetry_eigh)
 
 BOUNDARIES = ("periodic", "open")
 
@@ -73,7 +72,7 @@ class SpinHamiltonian:
         return self.terms().dense()
 
 
-def _spectrum(ham: SpinHamiltonian) -> SymmetrySpectrum:
+def _spectrum(ham: SpinHamiltonian):
     _check_cap(ham.n)
     return symmetry_eigh(ham.terms(), translation=ham.boundary == "periodic")
 
@@ -88,10 +87,10 @@ def gibbs_state(ham: SpinHamiltonian, beta: float) -> QuantumState:
     """
     if not math.isfinite(beta) or beta < 0.0:
         raise ContractViolationError(f"beta must be finite and >= 0, got {beta}")
-    spec = _spectrum(ham)
+    group, w, u = _spectrum(ham)
     # shifted to the ground energy, every weight is at most 1 and the sum at least 1
-    weights = np.where(spec.group.valid, np.exp(-beta * (spec.w - spec.w.min())), 0.0)
-    return SpectralState(spec, weights / float((spec.multiplicity * weights).sum()))
+    weights = np.where(group.valid, np.exp(-beta * (w - w.min())), 0.0)
+    return SpectralState(group, u, weights / float((group.mult[:, None] * weights).sum()))
 
 
 def ground_state(ham: SpinHamiltonian) -> QuantumState:
@@ -100,11 +99,11 @@ def ground_state(ham: SpinHamiltonian) -> QuantumState:
     Degeneracy is judged over every symmetry block together. Like
     gibbs_state, the state keeps the spectrum and assembles .mat on demand.
     """
-    spec = _spectrum(ham)
-    w = spec.energies
+    group, w, u = _spectrum(ham)
+    w = np.where(group.valid, w, np.inf)
     tol = 1e-9 * max(1.0, abs(float(w.min())))
     sel = w <= w.min() + tol
-    return SpectralState(spec, sel / float((spec.multiplicity * sel).sum()))
+    return SpectralState(group, u, sel / float((group.mult[:, None] * sel).sum()))
 
 
 def _log_cosh(x: float) -> float:

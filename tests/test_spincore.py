@@ -15,6 +15,9 @@ from catlab.spincore import (
     DENSE_CAP,
     FactoredState,
     PauliTerms,
+    QuantumState,
+    SpectralState,
+    WindowState,
     _symmetry_group,
     additive_observable,
     as_state,
@@ -162,6 +165,11 @@ def test_symmetry_eigh_rejects_asymmetric_or_complex_input():
     chain = SpinHamiltonian(n=4, h=1.0, j=(0.3, 0.2, 0.1), boundary="open")
     with pytest.raises(ContractViolationError, match="translation"):
         symmetry_eigh(chain.terms(), translation=True)
+    # real, flip- and translation-symmetric, yet <01| H |00> = 1 against
+    # <00| H |01> = 2: its eigenvalues are +-2 sqrt 2, not the blocks' +-2
+    lopsided = np.array([1.0, 2.0, 2.0, 1.0])
+    with pytest.raises(ContractViolationError, match="Hermitian"):
+        symmetry_eigh(PauliTerms(2, {1: lopsided, 2: lopsided}), translation=True)
 
 
 def test_symmetry_group_tables_on_the_six_site_ring():
@@ -441,6 +449,34 @@ def test_every_double_commutator_is_the_kernels():
     assert sorted(defined) == ["oracle._dense_double_commutator",
                                "spincore.PauliTerms.double_commutator"]
     assert stray == []
+
+
+def test_every_structured_state_is_one_object_read_through_entries():
+    # a Gibbs state keeps its group, u and weights itself; a window is read
+    # through entries(); the three dense views are one gather
+    assert not hasattr(spincore, "SymmetrySpectrum")
+    assert not hasattr(QuantumState, "block")
+    for cls in (WindowState, FactoredState, SpectralState):
+        assert vars(cls)["mat"].func is spincore._dense_view
+    states = {"QuantumState", "WindowState", "FactoredState", "SpectralState"}
+    found = []
+    for path in sorted(Path(spincore.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.ClassDef) and node.name == "SymmetrySpectrum")
+            assert not (isinstance(node, ast.Attribute) and node.attr == "block")
+        if path.stem not in ("indices", "measure", "analysis"):
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = getattr(getattr(node, "func", None), "id", "")
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                class_test = (name == "isinstance" and states & names) or (
+                    isinstance(node, ast.Compare) and "type" in names)
+                if class_test:
+                    where = getattr(top, "name", "<module>")
+                    found.append(f"{path.stem}.{where}: {ast.unparse(node)}")
+    assert found == ["indices._state_factors: isinstance(rho, FactoredState)"]
 
 
 def test_factored_state_rejects_invalid_factors():
