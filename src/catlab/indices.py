@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ContractViolationError, DomainError
 from .spincore import (_GATHER_CHUNK, AdditiveObservable, FactoredState,
@@ -301,6 +300,111 @@ def _unit(theta: float, phi: float = 0.0) -> np.ndarray:
                      math.sin(theta) * math.sin(phi), math.cos(theta)])
 
 
+def _minimize_bounded(f, a: float, b: float, xatol: float, maxfun: int) -> float:
+    """Brent's bounded minimization of f on (a, b), at most maxfun evaluations;
+    returns the best x. It evaluates exactly the points, in the same order, of
+    scipy.optimize.minimize_scalar(method="bounded") with this xatol and
+    maxiter = maxfun: a port of scipy 1.17.1's _minimize_scalar_bounded (BSD
+    licence), keeping its arithmetic."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
+
+
+def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> np.ndarray:
+    """Nelder-Mead minimization of f from x0; returns the best vertex. It
+    evaluates exactly the points, in the same order, of scipy.optimize.minimize(
+    method="Nelder-Mead") with these xatol, fatol and maxiter and no other
+    option: a port of scipy 1.17.1's _minimize_neldermead (BSD licence), with
+    its default simplex, not adaptive and without bounds."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x.copy()) for x in sim], dtype=float)
+    for _ in range(2):  # scipy sorts the first simplex twice
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    for _ in range(maxiter - 1):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]  # reflect
+        fxr = f(xr.copy())
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expand
+            fxe = f(xe.copy())
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = f(xc.copy())
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j].copy())
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0]
+
+
 def observable_search(rho: QuantumState,
                       resolution: int = SEARCH_RESOLUTION) -> CatnessReport:
     """Maximize the eta-optimal catness over additive observables.
@@ -352,15 +456,12 @@ def observable_search(rho: QuantumState,
                                         (np.array([1.0, 0.0, 0.0]), z_lo == 0.0)) if closes]
         for end in ends:
             negated(end)
-        minimize_scalar(lambda th: negated(_unit(th)),
-                        bounds=(math.acos(z_hi), math.acos(z_lo)), method="bounded",
-                        options={"xatol": 1e-10, "maxiter": _POLAR_MAXITER - len(ends)})
+        _minimize_bounded(lambda th: negated(_unit(th)), math.acos(z_hi),
+                          math.acos(z_lo), 1e-10, _POLAR_MAXITER - len(ends))
     else:
         start = [math.acos(float(np.clip(z, -1.0, 1.0))),
                  math.atan2(float(best[2][1]), float(best[2][0]))]
-        minimize(lambda angles: negated(_unit(*angles)), np.array(start),
-                 method="Nelder-Mead",
-                 options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 200})
+        _nelder_mead(lambda angles: negated(_unit(*angles)), start, 1e-4, 1e-10, 200)
     best_val, best_eta, best_obs = best[0], best[1], uniform_observable(best[2], n)
 
     if rho.purity > 1.0 - PURITY_PURE_TOL:
@@ -412,8 +513,8 @@ def fit_exponent(points, floor: bool = True) -> tuple[float, float]:
         raise DomainError("exponent fit needs at least three points")
     ns = np.array([p[0] for p in pts])
     vals = np.array([p[1] for p in pts])
-    if np.any(ns <= 0.0) or len(np.unique(ns)) != len(ns):
-        raise DomainError("sweep sizes must be positive and distinct")
+    if not (np.all(np.isfinite(ns)) and ns[0] > 0.0 and np.all(np.diff(ns) > 0.0)):
+        raise DomainError("sweep sizes must be finite, positive and distinct")
     if floor:
         vals = np.maximum(vals, ns)
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):

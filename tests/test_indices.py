@@ -579,6 +579,11 @@ def test_fit_exponent_input_validation():
         fit_exponent([(4, 16.0), (4, 20.0), (8, 64.0)])
     with pytest.raises(DomainError):
         fit_exponent([(4, -1.0), (6, 36.0), (8, 64.0)], floor=False)
+    # without the floor, nothing else stops a non-finite size from reaching the fit
+    for bad in (math.nan, math.inf, -math.inf):
+        for floor in (False, True):
+            with pytest.raises(DomainError):
+                fit_exponent([(bad, 40.0), (6, 36.0), (8, 64.0), (10, 100.0)], floor=floor)
 
 
 def test_fixture_sweep_exponents():
