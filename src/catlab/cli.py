@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -35,7 +34,8 @@ from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
 from .oracle import run_families
 from .records import (CSV_COLUMNS, append_jsonl, mix_seed, new_row, read_csv,
                       write_csv)
-from .spincore import DENSE_CAP, snap_interval, total_magnetization
+from .spincore import (DENSE_CAP, _check_cap, snap_interval,
+                       total_magnetization)
 from .thermal import (SpinHamiltonian, gibbs_state, ground_state,
                       log_free_partition_eq, log_free_partition_post,
                       log_interval_partition_post)
@@ -192,19 +192,10 @@ def _sweep_row(payload) -> dict:
 
 
 def run_sweep(cfg: ExperimentConfig, args) -> int:
-    payloads = []
-    for n in cfg.n_list:
-        if n > DENSE_CAP:
-            if cfg.on_capacity == "fail":
-                raise CapacityError(
-                    f"n={n} exceeds the dense capacity {DENSE_CAP}")
-            print(f"skipping n={n}: over the dense capacity {DENSE_CAP}",
-                  file=sys.stderr)
-            continue
-        payloads.append((cfg, n))
-    if len(payloads) < 3:
-        raise UsageError("sweep needs at least three in-capacity sizes to fit")
+    payloads = [(cfg, _check_cap(n)) for n in cfg.n_list]
     if args.workers > 1:
+        # imported here, so that `import catlab.cli` loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_row, payloads))
     else:
@@ -222,13 +213,8 @@ def run_sweep(cfg: ExperimentConfig, args) -> int:
 def run_interval(cfg: ExperimentConfig, args) -> int:
     n = cfg.n
     betah = cfg.beta * cfg.h
-    mode = cfg.closed_form_only
-    use_dense = {"auto": n <= DENSE_CAP, "true": False, "false": True}[mode]
-    if use_dense and n > DENSE_CAP:
-        raise CapacityError(
-            f"closed_form_only=false needs n <= {DENSE_CAP}, got {n}")
     dense_ctx = None
-    if use_dense:
+    if n <= DENSE_CAP:
         ham = SpinHamiltonian(n=n, h=cfg.h)
         dense_ctx = (ham, gibbs_state(ham, cfg.beta))
     rows = []
@@ -311,12 +297,8 @@ def run_feasibility(cfg: ExperimentConfig, args) -> int:
     _no_rows(args, "feasibility")
     inp = FeasibilityInput(**{f.name: getattr(cfg, f.name)
                               for f in fields(FeasibilityInput)})
-    payload = {
-        "selected": "rounded" if cfg.rounded_constants else "precise",
-        "precise": asdict(feasibility_calc(inp, rounded_constants=False)),
-        "rounded": asdict(feasibility_calc(inp, rounded_constants=True)),
-    }
-    print(json.dumps(payload, indent=2))
+    reports = (feasibility_calc(inp), feasibility_calc(inp, True))
+    print(json.dumps({r.constants_used: asdict(r) for r in reports}, indent=2))
     return 0
 
 

@@ -26,12 +26,12 @@ _MODE_KEYS = {
     "convert": {"n", "beta", "betah", "h", "jx", "jy", "jz", "boundary",
                 "outcome", "m", "m_lo", "m_hi", "shots", "seed", "ground"},
     "sweep": {"n_list", "beta", "betah", "h", "jx", "jy", "jz", "boundary",
-              "m", "source", "resolution", "seed", "on_capacity"},
-    "interval": {"n", "beta", "betah", "h", "intervals", "closed_form_only"},
+              "m", "source", "resolution", "seed"},
+    "interval": {"n", "beta", "betah", "h", "intervals"},
     "fit": {"input_csv", "value_column", "floor"},
     "verify": {"n", "m", "beta", "betah", "h"},
     "feasibility": {"tau_single", "n_spins", "distance_r", "sensitivity",
-                    "duty_fraction", "rounded_constants"},
+                    "duty_fraction"},
     "oracle": {"families", "inject_fault", "max_n", "seed"},
 }
 
@@ -68,9 +68,7 @@ class ExperimentConfig:
     ground: bool = False
     source: str = "gibbs"
     resolution: int = SEARCH_RESOLUTION
-    on_capacity: str = "fail"
     intervals: tuple[tuple[int, int], ...] | None = None
-    closed_form_only: str = "auto"
     input_csv: str | None = None
     value_column: str = "c_dense"
     floor: bool = True
@@ -79,7 +77,6 @@ class ExperimentConfig:
     distance_r: float = FeasibilityInput.distance_r
     sensitivity: float = FeasibilityInput.sensitivity
     duty_fraction: float = FeasibilityInput.duty_fraction
-    rounded_constants: bool = False
     families: tuple[str, ...] | None = None
     inject_fault: bool = False
     max_n: int = 8
@@ -175,14 +172,11 @@ _PARSERS = {
     "families": _parse_families, "source": _parse_source,
     "boundary": _choice(*BOUNDARIES),
     "outcome": _choice("exact", "interval", "sampled"),
-    "on_capacity": _choice("skip", "fail"),
-    "closed_form_only": _choice("auto", "true", "false"),
     **dict.fromkeys(("m", "m_lo", "m_hi", "shots", "seed", "resolution", "max_n",
                      "n_spins"), _parse_int),
     **dict.fromkeys(("beta", "betah", "h", "jx", "jy", "jz", "tau_single",
                      "distance_r", "sensitivity", "duty_fraction"), _parse_float),
-    **dict.fromkeys(("ground", "floor", "inject_fault", "rounded_constants"),
-                    _parse_bool),
+    **dict.fromkeys(("ground", "floor", "inject_fault"), _parse_bool),
     **dict.fromkeys(("input_csv", "value_column"), lambda raw, key: raw.strip()),
 }
 

@@ -230,8 +230,7 @@ def test_config_requires_matching_section(tmp_path, capsys):
     ("convert", "n", ("n = -2", "betah = 1.0", "m = 0")),
     ("verify", "n", ("n = 0", "m = 0", "betah = 1.0")),
     ("interval", "n", ("n = 0", "betah = 1.0", "intervals = 0:0")),
-    ("interval", "n", ("n = -4", "betah = 1.0", "intervals = 0:0",
-                       "closed_form_only = true")),
+    ("interval", "n", ("n = -4", "betah = 1.0", "intervals = 0:0")),
     ("sweep", "n_list", ("n_list = 0, 2, 4", "betah = 1.0")),
 ])
 def test_config_rejects_non_positive_sizes(tmp_path, capsys, mode, key, lines):
@@ -278,18 +277,15 @@ _FULL = {
     ],
     "sweep": [
         ({"n_list": "3, 5, 7", "beta": "0.5", "h": "2", "jx": "0.1", "jy": "0.2",
-          "jz": "0.3", "boundary": "open", "m": "1", "seed": "9",
-          "on_capacity": "skip"},
+          "jz": "0.3", "boundary": "open", "m": "1", "seed": "9"},
          dict(n_list=(3, 5, 7), beta=0.5, h=2.0, j=(0.1, 0.2, 0.3), boundary="open",
-              m=1, seed=9, on_capacity="skip")),
+              m=1, seed=9)),
         ({"n_list": "4, 6, 8", "source": "rho_ex1", "resolution": "64"},
          dict(n_list=(4, 6, 8), source="rho_ex1", resolution=64)),
     ],
     "interval": [
-        ({"n": "40", "beta": "0.5", "h": "2", "intervals": "-2:2, 0:4",
-          "closed_form_only": "true"},
-         dict(n=40, beta=0.5, h=2.0, intervals=((-2, 2), (0, 4)),
-              closed_form_only="true")),
+        ({"n": "40", "beta": "0.5", "h": "2", "intervals": "-2:2, 0:4"},
+         dict(n=40, beta=0.5, h=2.0, intervals=((-2, 2), (0, 4)))),
     ],
     "fit": [
         ({"input_csv": " rows.csv ", "value_column": "purity", "floor": "no"},
@@ -300,9 +296,9 @@ _FULL = {
     ],
     "feasibility": [
         ({"tau_single": "1e-3", "n_spins": "50", "distance_r": "2e-6",
-          "sensitivity": "1e-16", "duty_fraction": "0.5", "rounded_constants": "on"},
+          "sensitivity": "1e-16", "duty_fraction": "0.5"},
          dict(tau_single=1e-3, n_spins=50, distance_r=2e-6, sensitivity=1e-16,
-              duty_fraction=0.5, rounded_constants=True)),
+              duty_fraction=0.5)),
     ],
     "oracle": [
         ({"families": "fixtures, sampling", "inject_fault": "yes", "max_n": "6",
@@ -327,6 +323,19 @@ def test_config_table_parses_every_key_into_its_field(tmp_path, mode):
         assert all(getattr(default, name) != value for name, value in fields.items())
         assert load(items) == ExperimentConfig(mode=mode, **fields)
     assert given == _MODE_KEYS[mode]
+
+
+@pytest.mark.parametrize("mode, lines, line", [
+    ("sweep", ("n_list = 4, 6, 8", "betah = 1.0"), "on_capacity = skip"),
+    ("interval", ("n = 8", "betah = 1.0", "intervals = 0:0"), "closed_form_only = true"),
+    ("feasibility", (), "rounded_constants = true"),
+], ids=["on_capacity", "closed_form_only", "rounded_constants"])
+def test_removed_config_keys_are_usage_errors(tmp_path, capsys, mode, lines, line):
+    cfg = ini(tmp_path, "r.ini", f"[{mode}]", *lines, line)
+    assert main([mode, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown keys in [{mode}]: {line.split()[0]}\n"
 
 
 def test_sweep_workers_agree_byte_for_byte(tmp_path, capsys):
@@ -358,12 +367,11 @@ def test_sweep_gibbs_exponent_band(tmp_path, capsys):
 def test_sweep_capacity_skip_and_fail(tmp_path, capsys):
     base = ("[sweep]", "n_list = 4, 6, 8, 14", "betah = 1.0", "m = 0")
     hard = ini(tmp_path, "hard.ini", *base)
-    soft = ini(tmp_path, "soft.ini", *base, "on_capacity = skip")
-    assert main(["sweep", "--config", hard]) == 4
-    out = str(tmp_path / "soft.csv")
-    assert main(["sweep", "--config", soft, "--out", out]) == 0
-    capsys.readouterr()
-    assert [r["n"] for r in read_csv(out)] == [4, 6, 8]
+    out = tmp_path / "hard.csv"
+    assert main(["sweep", "--config", hard, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: n=14 exceeds the dense cap of 12 spins\n"
+    assert not out.exists()  # the sizes are checked before any row runs
 
 
 def test_sweep_runs_at_the_dense_cap(tmp_path, capsys):
@@ -457,7 +465,7 @@ def test_fixture_sweep_row_builds_no_dense_matrix(tmp_path):
 
 def test_interval_closed_form_only_scales_past_dense_cap(tmp_path, capsys):
     cfg = ini(tmp_path, "i.ini", "[interval]", "n = 40", "betah = 1.0",
-              "intervals = -2:2, 0:0", "closed_form_only = true")
+              "intervals = -2:2, 0:0")
     out = str(tmp_path / "i.csv")
     assert main(["interval", "--config", cfg, "--out", out]) == 0
     capsys.readouterr()
@@ -465,13 +473,6 @@ def test_interval_closed_form_only_scales_past_dense_cap(tmp_path, capsys):
     assert all(r["c_dense"] is None for r in rows)
     assert all(r["c_closed"] is not None for r in rows)
     assert all(0.0 <= r["i_value"] <= 1.0 for r in rows)
-
-
-def test_interval_dense_demand_past_cap_is_capacity_error(tmp_path, capsys):
-    cfg = ini(tmp_path, "i.ini", "[interval]", "n = 40", "betah = 1.0",
-              "intervals = -2:2", "closed_form_only = false")
-    assert main(["interval", "--config", cfg]) == 4
-    capsys.readouterr()
 
 
 def test_interval_auto_checks_dense_against_closed(tmp_path, capsys):
@@ -531,10 +532,9 @@ def test_verify_mode_rejects_row_outputs(tmp_path, capsys):
 
 
 def test_feasibility_mode_emits_json(tmp_path, capsys):
-    cfg = ini(tmp_path, "f.ini", "[feasibility]", "rounded_constants = true")
+    cfg = ini(tmp_path, "f.ini", "[feasibility]")
     assert main(["feasibility", "--config", cfg]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["selected"] == "rounded"
     assert payload["rounded"]["feasible"] is True
     assert payload["precise"]["coherence_time"] == pytest.approx(4.7e-6)
 

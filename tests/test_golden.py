@@ -14,8 +14,9 @@ def _golden(name: str) -> str:
 
 
 def test_no_golden_config_goes_missing():
-    assert NAMES == ["convert_n12", "convert_sampled", "interval_n8",
-                     "sweep_open", "sweep_rho_ex1", "sweep_ring"]
+    assert NAMES == ["convert_n12", "convert_sampled", "convert_window",
+                     "interval_n40", "interval_n8", "sweep_open", "sweep_rho_ex1",
+                     "sweep_ring"]
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -7,6 +7,7 @@ binomial and the log-sum-exp replace scipy.special.
 """
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import os
@@ -148,12 +149,23 @@ def test_logsumexp_matches_scipy():
     assert _logsumexp(np.array([-3.25])) == -3.25  # one term comes back exact
 
 
-def test_importing_the_cli_loads_no_scipy():
-    code = ("import sys, catlab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+def _loaded_by_cli_import(*packages: str) -> list[str]:
+    """The modules of these top-level packages that `import catlab.cli` loads
+    in a fresh interpreter."""
+    code = ("import sys, catlab.cli; print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] in {packages!r}))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip())
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert _loaded_by_cli_import("scipy") == []
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # only sweep --workers > 1 needs a process pool, and imports it there
+    assert _loaded_by_cli_import("multiprocessing", "concurrent") == []
