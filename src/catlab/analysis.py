@@ -18,7 +18,7 @@ from .indices import (_catness_form, _state_factors, c_closed_form_free,
                       expect_c, fit_exponent)
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state)
-from .spincore import (QuantumState, WindowState, _bit_table, _herm_eigh,
+from .spincore import (QuantumState, _bit_table, _herm_eigh,
                        mz_projector, mz_values, total_magnetization)
 from .thermal import SpinHamiltonian, gibbs_state, log_interval_partition_post
 
@@ -62,8 +62,8 @@ def energy_moments_free_closed(n: int, m: int, betah: float, h: float) -> Energy
 def energy_moments_dense(rho: QuantumState, ham: SpinHamiltonian) -> EnergyMoments:
     """<H> and <H^2> - <H>^2 of a dense state, through the bit-operation kernel."""
     hterms = ham.terms()
-    mean = hterms.expect(rho).real
-    second = (hterms @ hterms).expect(rho).real
+    mean = rho.expect(hterms).real
+    second = rho.expect(hterms, hterms).real
     return EnergyMoments(mean=mean, variance=second - mean * mean)
 
 
@@ -72,8 +72,8 @@ def transverse_moments(rho_post: QuantumState) -> tuple[float, float, float]:
     n = rho_post.n
     mx = total_magnetization("x", n).terms()
     my = total_magnetization("y", n).terms()
-    return (mx.expect(rho_post).real, my.expect(rho_post).real,
-            (mx @ mx).expect(rho_post).real)
+    return (rho_post.expect(mx).real, rho_post.expect(my).real,
+            rho_post.expect(mx, mx).real)
 
 
 def matching_equilibrium_beta(e_mean: float, n: int, h: float) -> float:
@@ -173,7 +173,6 @@ def sufficient_conditions_check(a, b, rho_pre: QuantumState, outcomes) -> Suffic
     w = np.zeros(1 << b.n) + b_terms.flips.get(0, 0.0)
     idx, _ = _bit_table(b.n)
     a_terms = a.terms()
-    a2 = a_terms @ a_terms
     outs, probs, resids, ratios, skipped = [], [], [], [], []
     for target in outcomes:
         target = float(target)
@@ -192,7 +191,7 @@ def sufficient_conditions_check(a, b, rho_pre: QuantumState, outcomes) -> Suffic
         col_norms = sum((np.abs(amp) ** 2 * sel[idx ^ f] for f, amp in a_terms.flips.items()),
                         np.zeros(idx.size))
         resids.append(math.sqrt(float(col_norms[sel].max())))
-        ratios.append(a2.expect(WindowState(rho_pre, sel)).real / prob)
+        ratios.append(rho_pre.project(sel).expect(a_terms, a_terms).real / prob)
     return SufficiencyReport(outcomes=tuple(outs), probabilities=tuple(probs),
                              condition_residuals=tuple(resids),
                              second_moment_ratios=tuple(ratios),
@@ -243,8 +242,7 @@ def averaged_identity_check(rho_pre: QuantumState) -> AveragedIdentityReport:
     # the pinched state is the sum over every sector of P_m rho P_m
     sectors = mz_values(n)
     mx = a_obs.terms()
-    mx2 = mx @ mx
-    rhs = 2.0 * sum(mx2.expect(WindowState(rho_pre, sectors == m)).real
+    rhs = 2.0 * sum(rho_pre.project(sectors == m).expect(mx, mx).real
                     for m in dist.support)
     return AveragedIdentityReport(averaged_c=lhs, pinched_value=rhs,
                                   residual=abs(lhs - rhs), skipped=tuple(skipped))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import (FeasibilityInput, energy_moments_dense,
                        energy_moments_free_closed, feasibility_calc,
-                       purity_bound_free, transverse_moments)
+                       purity_bound_free)
 from .config import MODES, ExperimentConfig, load_config
 from .errors import CapacityError, ContractViolationError, UsageError
 from .indices import (c_closed_form_free, expect_c, fit_exponent,
@@ -116,10 +116,10 @@ def _dense_columns(ham: SpinHamiltonian, rho, spec: OutcomeSpec) -> dict:
     purity and the energy and transverse moments."""
     out = post_state(rho, spec)
     moments = energy_moments_dense(out, ham)
-    return dict(c_dense=expect_c(out, total_magnetization("x", ham.n),
-                                 spec.projector(ham.n)),
+    mx = total_magnetization("x", ham.n)
+    return dict(c_dense=expect_c(out, mx, spec.projector(ham.n)),
                 purity=out.purity, e_mean=moments.mean, e_var=moments.variance,
-                mx2=transverse_moments(out)[2])
+                mx2=out.expect(mx.terms(), mx.terms()).real)
 
 
 def _measured_row(cfg: ExperimentConfig, state, lo: int, hi: int,

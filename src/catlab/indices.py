@@ -89,9 +89,11 @@ class VcmMatrix:
 def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
     """Tr[rho [A, [A, eta]]], the catness of rho witnessed by (A, eta).
 
-    A PauliTerms eta, such as an outcome projector, is read through one kernel
-    PauliTerms.double_commutator, whose expect reads O(n^2 d) entries of rho
-    per term of eta and forms no d x d product. Any other eta is an array, read
+    A PauliTerms eta, such as an outcome projector, is read by rho.catness:
+    through one kernel PauliTerms.double_commutator, whose expect reads
+    O(n^2 d) entries of rho per term of eta and forms no d x d product, or,
+    on a SpectralState whose group leaves A and eta invariant, from the
+    blocks of A. Any other eta is an array, read
     by cyclic invariance as Tr[D eta] = Tr[F B eta B^dagger], with F the
     form of D = [A, [A, rho]] in its basis B.
     """
@@ -103,7 +105,7 @@ def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
     if shape != (rho.dim, rho.dim) or a.n != rho.n:
         raise ContractViolationError("expect_c dimension mismatch")
     if emat is None:
-        val = a.terms().double_commutator(eta).expect(rho)
+        val = rho.catness(a.terms(), eta)
     else:
         form = _catness_form(*_state_factors(rho)[:2], [a])
         side = emat if form.basis is None else form.basis @ emat @ form.basis.conj().T

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DomainError, ImpossibleOutcomeError
 from .indices import expect_c
-from .spincore import (FactoredState, PauliTerms, QuantumState, WindowState,
+from .spincore import (FactoredState, PauliTerms, QuantumState,
                        _check_cap, _check_outcome_parity, _window_mask,
                        mz_interval_projector, mz_projector, mz_values,
                        total_magnetization)
@@ -92,14 +92,17 @@ def outcome_probability(rho: QuantumState, spec: OutcomeSpec) -> float:
 
 
 def post_state(rho: QuantumState, spec: OutcomeSpec) -> QuantumState:
-    """P rho P / Tr[P rho P] for the outcome's projector, as a WindowState."""
+    """P rho P / Tr[P rho P] for the outcome's projector, kept as rho.project
+    decides: a SpectralState when rho is one and its group leaves the window
+    invariant (a window symmetric about 0 on a ring or an open chain), else a
+    WindowState."""
     mask = spec.mask(rho.n)
     prob = outcome_probability(rho, spec)
     if prob <= PROB_FLOOR:
         raise ImpossibleOutcomeError(
             f"outcome {spec.kind}[{spec.m_lo}, {spec.m_hi}] has probability {prob:.3e}")
     # times the reciprocal, which is how numpy divides a complex block
-    return WindowState(rho, mask, 1.0 / prob)
+    return rho.project(mask, 1.0 / prob)
 
 
 def _mulhilo(a, b):

@@ -24,13 +24,19 @@ real and commute with the global spin flip, and a ring's with its cyclic
 translation too, so symmetry_eigh diagonalizes them in one block per
 character of that group: two flip-parity blocks for an open chain, 2n
 momentum and parity blocks of about 2^n / 2n states for a ring, read from
-the bit-operation kernel with no dense matrix. Every read of a state goes
-through QuantumState.entries(rows, cols), and a kernel trace reads only the
-rows in support(). A state built from such a spectrum (SpectralState) keeps
-its group, eigenvectors and weights and gathers entries from the rows at the
-orbit representatives; a measured state (WindowState) keeps its block on the
-measured window; a pure state or a low-rank mixture (FactoredState) keeps
-its orthonormal columns and weights. All three gather their dense view
+the bit-operation kernel with no dense matrix. Every entry of a state is
+read through QuantumState.entries(rows, cols), and a kernel trace reads only
+the rows in support(). A state built from such a spectrum (SpectralState)
+keeps its group, eigenvectors and weights. A measurement goes through one
+method, QuantumState.project: a window that the group leaves invariant
+(symmetric about 0) keeps the SpectralState, whose eigenvector rows outside
+the window read as zero, and its diagonal, purity and the traces of
+invariant sums (expect, catness) are read per character from those factors
+and the blocks of the sums, which symmetry_eigh's block builder makes. Any
+other projection (WindowState) keeps its block on the measured window; a
+pure state or a low-rank mixture (FactoredState) keeps its orthonormal
+columns and weights. Other reads of a SpectralState gather entries from its
+rows at the orbit representatives. All three gather their dense view
 through entries(), on request only. A magnetization projector is a
 PauliTerms with one diagonal term.
 
@@ -238,6 +244,22 @@ class QuantumState:
         idx = np.arange(self.dim)
         return self.entries(idx, idx)
 
+    def project(self, mask: np.ndarray, scale: float = 1.0) -> QuantumState:
+        """scale * P rho P for the projector P onto the basis states where
+        mask is set; the one place that decides how the result is kept."""
+        return WindowState(self, mask, scale)
+
+    def expect(self, *factors: PauliTerms) -> complex:
+        """Tr[rho F_1 F_2 ... F_k], the product composed in the kernel."""
+        product = factors[0]
+        for factor in factors[1:]:
+            product = product @ factor
+        return product.expect(self)
+
+    def catness(self, a: PauliTerms, eta: PauliTerms) -> complex:
+        """Tr[rho [A, [A, eta]]], through the kernel double commutator."""
+        return a.double_commutator(eta).expect(self)
+
 
 def _dense_view(rho: QuantumState) -> np.ndarray:
     """The dense rho, gathered through entries() in row chunks."""
@@ -378,6 +400,11 @@ class AdditiveObservable:
         return bool(np.all(self.site_coeffs == self.site_coeffs[0]))
 
     def terms(self) -> PauliTerms:
+        """The kernel sum, built once per observable."""
+        return self._terms
+
+    @cached_property
+    def _terms(self) -> PauliTerms:
         return pauli_terms(self.n, self.site_coeffs)
 
     def realize(self) -> np.ndarray:
@@ -549,6 +576,65 @@ def _symmetry_group(n: int, translation: bool) -> _SymmetryGroup:
     return _SymmetryGroup(n=n, length=length, **tables)
 
 
+def _real_amplitudes(terms: PauliTerms) -> tuple[np.ndarray, np.ndarray]:
+    """The flip masks of a real Pauli sum and its amplitudes, one row each."""
+    masks = np.fromiter(terms.flips, dtype=np.intp, count=len(terms.flips))
+    amps = np.empty((masks.size, 1 << terms.n))
+    for row, amp in zip(amps, terms.flips.values()):
+        row[:] = amp
+    return masks, amps
+
+
+def _symmetry_defect(group: _SymmetryGroup, masks: np.ndarray, amps: np.ndarray) -> str | None:
+    """Why a real Pauli sum has no blocks over group's characters: that it is
+    not Hermitian, or the generator it does not commute with; None if none."""
+    dim = amps.shape[1]
+    scale = 1.0 + float(np.abs(amps).max(initial=0.0))
+    # <k ^ f| H |k> = amp_f[k] must equal <k| H |k ^ f>* = amp_f[k ^ f]
+    swapped = np.take_along_axis(amps, np.arange(dim) ^ masks[:, None], axis=1)
+    if np.abs(swapped - amps).max(initial=0.0) > HERM_TOL * scale:
+        return "must be Hermitian"
+    # F sends k to k ^ (2^n - 1), which reverses the basis order
+    if np.abs(amps[:, ::-1] - amps).max(initial=0.0) > HERM_TOL * scale:
+        return "does not commute with the global flip"
+    if group.length > 1:
+        shift = group.images[2]
+        where = {int(m): i for i, m in enumerate(masks)}
+        partner = [where.get(int(m), -1) for m in shift[masks]]
+        # T H T^-1 = H: the term on T f carries amp_f moved along by T
+        moved = np.vstack([amps, np.zeros((1, dim))])[partner][:, shift]
+        if np.abs(moved - amps).max(initial=0.0) > HERM_TOL * scale:
+            return "does not commute with the cyclic translation"
+    return None
+
+
+def _character_blocks(group: _SymmetryGroup, masks: np.ndarray, amps: np.ndarray,
+                      orbits: np.ndarray | None = None) -> np.ndarray:
+    """The blocks of a real Pauli sum that commutes with group, one per
+    character, read from its amplitudes with no dense matrix.
+
+    Row pos[c, i] of block c holds <chi_c, a_i| T | . > for the
+    representatives a; row dmax collects the orbits that character c holds
+    no state of, and is not part of it. Without orbits the blocks are square,
+    column pos[c, j] holding |chi_c, a_j> (so column dmax is not part of it
+    either); with orbits, column k holds orbit orbits[k], and is not part of
+    block c where c holds no state of that orbit.
+    """
+    # <chi, rep(b)| H |chi, a> gains amp_f(a) chi(g_b)* sqrt(|Stab_rep(b)| / |Stab_a|)
+    # from b = a ^ f, where g_b . b = rep(b)
+    held = slice(None) if orbits is None else orbits
+    reps = group.reps[held]
+    target = reps ^ masks[:, None]
+    row = group.rep_index[target]
+    entries = (group.chars.conj()[:, group.to_rep[target]]
+               * (amps[:, reps] * np.sqrt(group.stab[row] / group.stab[held])))
+    count, side = group.pos.shape[0], group.valid.shape[1] + 1
+    cols = group.pos[:, None, :] if orbits is None else np.arange(orbits.size)
+    blocks = np.zeros((count, side, side if orbits is None else orbits.size), dtype=complex)
+    np.add.at(blocks, (np.arange(count)[:, None, None], group.pos[:, row], cols), entries)
+    return blocks
+
+
 def symmetry_eigh(terms: PauliTerms, translation: bool
                   ) -> tuple[_SymmetryGroup, np.ndarray, np.ndarray]:
     """Eigensolve of a real Pauli sum blockwise over its symmetry characters,
@@ -559,52 +645,23 @@ def symmetry_eigh(terms: PauliTerms, translation: bool
     blocks of 2^(n-1) states, a ring 2n blocks of about 2^n / 2n. The state
     of orbit a in the block of character chi has the coefficient
     chi(g)* sqrt(|Stab_a| / |G|) on s = g . a, and the block entries are
-    read from the amplitudes of terms, with no dense matrix. Row c of w and
-    u is the block of character c of group; position j of a row holds an
-    eigenpair where group.valid[c, j] and padding above the spectrum
-    elsewhere. Each row stands for group.mult[c] characters. Raises unless
-    every amplitude is real, terms is Hermitian and it commutes with each
-    generator.
+    read from the amplitudes of terms (_character_blocks), with no dense
+    matrix. Row c of w and u is the block of character c of group; position
+    j of a row holds an eigenpair where group.valid[c, j] and padding above
+    the spectrum elsewhere. Each row stands for group.mult[c] characters.
+    Raises unless every amplitude is real, terms is Hermitian and it
+    commutes with each generator.
     """
     n = _check_cap(terms.n)
     group = _symmetry_group(n, bool(translation))
     if terms.dtype is complex:
         raise ContractViolationError("symmetry_eigh needs real amplitudes")
-    dim = 1 << n
-    masks = np.fromiter(terms.flips, dtype=np.intp, count=len(terms.flips))
-    amps = np.empty((masks.size, dim))
-    for row, amp in zip(amps, terms.flips.values()):
-        row[:] = amp
-    scale = 1.0 + float(np.abs(amps).max(initial=0.0))
-    # <k ^ f| H |k> = amp_f[k] must equal <k| H |k ^ f>* = amp_f[k ^ f]
-    swapped = np.take_along_axis(amps, np.arange(dim) ^ masks[:, None], axis=1)
-    if np.abs(swapped - amps).max(initial=0.0) > HERM_TOL * scale:
-        raise ContractViolationError("symmetry_eigh input must be Hermitian")
-    # F sends k to k ^ (2^n - 1), which reverses the basis order
-    if np.abs(amps[:, ::-1] - amps).max(initial=0.0) > HERM_TOL * scale:
-        raise ContractViolationError(
-            "symmetry_eigh input does not commute with the global flip")
-    if group.length > 1:
-        shift = group.images[2]
-        where = {int(m): i for i, m in enumerate(masks)}
-        partner = [where.get(int(m), -1) for m in shift[masks]]
-        # T H T^-1 = H: the term on T f carries amp_f moved along by T
-        moved = np.vstack([amps, np.zeros((1, dim))])[partner][:, shift]
-        if np.abs(moved - amps).max(initial=0.0) > HERM_TOL * scale:
-            raise ContractViolationError(
-                "symmetry_eigh input does not commute with the cyclic translation")
-    # <chi, rep(b)| H |chi, a> gains amp_f(a) chi(g_b)* sqrt(|Stab_rep(b)| / |Stab_a|)
-    # from b = a ^ f, where g_b . b = rep(b)
-    reps = group.reps
-    target = reps ^ masks[:, None]
-    row = group.rep_index[target]
-    entries = (group.chars.conj()[:, group.to_rep[target]]
-               * (amps[:, reps] * np.sqrt(group.stab[row] / group.stab)))
-    count, dmax = group.valid.shape
-    blocks = np.zeros((count, dmax + 1, dmax + 1), dtype=complex)
-    np.add.at(blocks, (np.arange(count)[:, None, None], group.pos[:, row],
-                       group.pos[:, None, :]), entries)
-    blocks = blocks[:, :dmax, :dmax]
+    masks, amps = _real_amplitudes(terms)
+    defect = _symmetry_defect(group, masks, amps)
+    if defect is not None:
+        raise ContractViolationError(f"symmetry_eigh input {defect}")
+    dmax = group.valid.shape[1]
+    blocks = _character_blocks(group, masks, amps)[:, :dmax, :dmax]
     # the padding sits above |H| <= sum of the term norms, so it sorts last
     c, j = np.nonzero(~group.valid)
     blocks[c, j, j] = 1.0 + np.abs(amps).max(axis=1, initial=0.0).sum()
@@ -613,39 +670,181 @@ def symmetry_eigh(terms: PauliTerms, translation: bool
 
 
 class SpectralState(QuantumState):
-    """A density matrix diagonal in the blocks of a symmetry_eigh spectrum,
-    kept as the group, the eigenvectors u and one weight per eigenvector:
-    the sum of weights[c, j] |v><v| over the eigenvectors v, each row of u
-    counted group.mult[c] times. The weights are >= 0 and zero on the padding.
+    """A density matrix diagonal in the characters of a symmetry_eigh
+    spectrum, kept as the group, the eigenvectors u and one weight per
+    eigenvector: the sum of weights[c, j] |v><v| over the eigenvectors v,
+    each row of u counted group.mult[c] times. The weights are >= 0 and zero
+    on the padding. A projection onto a window that the group leaves
+    invariant keeps this form (project): it shares u with the state it was
+    projected from, rows names the window, the rows of u outside it read as
+    zero, and the weights are scaled, so they are no longer the eigenvalues.
+    rows is None for an unprojected state.
 
-    It commutes with the group, so rho[s, s'] = rho[rep(s), g_s . s'] where
-    g_s . s = rep(s). The rows at the orbit representatives are built once
-    from the small blocks, and entries() gathers from them; every other read,
-    the dense .mat (built on first access only) included, goes through it.
+    It commutes with the group. The diagonal, the purity and the traces of
+    Pauli sums that commute with the group (expect, catness) are read per
+    character, over all characters at once, from the factors
+    X_c = u_c sqrt(w_c) on the window and the window columns of the blocks
+    of those sums (_character_blocks), with no table. Every other read goes
+    through entries(): rho[s, s'] = rho[rep(s), g_s . s'] where
+    g_s . s = rep(s), so the rows at the orbit representatives are built
+    once from the small blocks and entries() gathers from them; the dense
+    .mat is built through it on first access only.
     """
 
-    def __init__(self, group: _SymmetryGroup, u: np.ndarray, weights: np.ndarray):
+    def __init__(self, group: _SymmetryGroup, u: np.ndarray, weights: np.ndarray,
+                 rows: np.ndarray | None = None):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_blocks", {})
 
     def __repr__(self) -> str:
-        return f"SpectralState(dim={self.dim})"
+        window = "" if self.rows is None else f", window={self.rows.size}"
+        return f"SpectralState(dim={self.dim}{window})"
 
     @property
     def dim(self) -> int:
         return 1 << self.group.n
 
+    def support(self) -> np.ndarray:
+        return np.arange(self.dim) if self.rows is None else self.rows
+
+    def project(self, mask: np.ndarray, scale: float = 1.0) -> QuantumState:
+        """scale * P rho P; a SpectralState on the same group when P commutes
+        with it (mask constant on every orbit), else a WindowState."""
+        group, mask = self.group, np.asarray(mask, dtype=bool)
+        inside = mask[group.reps]
+        if not np.array_equal(inside[group.rep_index], mask):
+            return super().project(mask, scale)
+        rows = np.flatnonzero(mask) if self.rows is None else self.rows[mask[self.rows]]
+        return SpectralState(group, self.u, self.weights * scale, rows)
+
+    @cached_property
+    def _inside(self) -> np.ndarray:
+        """Whether each orbit lies in the support."""
+        inside = np.zeros(self.dim, dtype=bool)
+        inside[self.support()] = True
+        return inside[self.group.reps]
+
+    @cached_property
+    def _window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(orbits, at, G): the orbits in the support, their positions at[c]
+        in each character's block (dmax where c holds no state of them), and
+        G[c] = X_c X_c^dagger, the block of character c on those orbits, for
+        X_c the rows of u_c at their positions times sqrt(w_c); zero where c
+        holds no state."""
+        group = self.group
+        dmax = group.valid.shape[1]
+        orbits = np.flatnonzero(self._inside)
+        at = group.pos[:, orbits]
+        x = self.u[np.arange(at.shape[0])[:, None], np.minimum(at, dmax - 1)]
+        x[at == dmax] = 0.0
+        x *= np.sqrt(self.weights)[:, None, :]
+        return orbits, at, x @ x.conj().transpose(0, 2, 1)
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal
+
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """sum_c mult_c |u|^2 w at each representative in the support, times
+        |Stab| / |G|, scattered to its orbit. Kept read-only, since every
+        outcome of a measurement reads it."""
+        group = self.group
+        count, dmax = group.valid.shape
+        # one zero column at dmax, which pos gives orbits with no state
+        by_position = np.zeros((count, dmax + 1))
+        for c, (u, w) in enumerate(zip(self.u, self.weights)):
+            by_position[c, :dmax] = (u.real ** 2 + u.imag ** 2) @ w
+        by_orbit = by_position[np.arange(count)[:, None], group.pos]
+        by_orbit = (group.mult[:, None] * by_orbit).sum(axis=0) * self._inside
+        diag = (by_orbit * (group.stab / len(group.images)))[group.rep_index]
+        diag.setflags(write=False)
+        return diag
+
     @cached_property
     def purity(self) -> float:
-        return float((self.group.mult[:, None] * self.weights ** 2).sum())
+        if self.rows is None:
+            return float((self.group.mult[:, None] * self.weights ** 2).sum())
+        # the weights of a projection are not its eigenvalues:
+        # sum_c mult_c ||X_c^dagger X_c||^2, which is ||G_c||^2
+        g = self._window[2]
+        return float((self.group.mult[:, None, None] * (g.real ** 2 + g.imag ** 2)).sum())
+
+    def _columns(self, terms: PauliTerms):
+        """T[:, orbits] for the support orbits, one block of dmax + 1 rows per
+        character (_character_blocks), with the row dmax zeroed; built once
+        per sum, and None when T is not a real Hermitian sum that commutes
+        with the group."""
+        if terms not in self._blocks:
+            columns = None
+            if terms.n == self.group.n and terms.dtype is not complex:
+                masks, amps = _real_amplitudes(terms)
+                if _symmetry_defect(self.group, masks, amps) is None:
+                    columns = _character_blocks(self.group, masks, amps, self._window[0])
+                    columns[:, -1] = 0.0
+            self._blocks[terms] = columns
+        return self._blocks[terms]
+
+    def _orbit_values(self, eta: PauliTerms):
+        """The value of a real diagonal sum on each orbit, when it is constant
+        on every orbit (so commutes with the group); None for any other sum."""
+        if eta.n != self.group.n or set(eta.flips) != {0} or eta.dtype is complex:
+            return None
+        values = np.broadcast_to(eta.flips[0], (self.dim,))
+        at_reps = values[self.group.reps]
+        return at_reps if np.array_equal(at_reps[self.group.rep_index], values) else None
+
+    def _sum_characters(self, left: np.ndarray, right: np.ndarray) -> complex:
+        """sum_c mult_c Re Tr[left_c^dagger right_c], reusing left; a kept
+        character whose conjugate was dropped counts twice its real part."""
+        traces = np.einsum("cpj,cpj->c", np.conjugate(left, out=left), right)
+        return complex((self.group.mult * traces.real).sum())
+
+    def expect(self, *factors: PauliTerms) -> complex:
+        """Tr[rho F_1 ... F_k]: from the blocks when k <= 2 and every factor
+        commutes with the group, through the kernel otherwise."""
+        columns = [self._columns(f) for f in factors] if len(factors) <= 2 else [None]
+        if any(cols is None for cols in columns):
+            return super().expect(*factors)
+        _, at, g = self._window
+        if len(columns) == 1:  # Tr[G T_ww] = Tr[G^dagger T_ww]
+            inner = columns[0][np.arange(at.shape[0])[:, None], at]
+            return self._sum_characters(g.copy(), inner)
+        # Tr[G S_w^dagger T_w] = Tr[(S_w G)^dagger T_w], as S and T are Hermitian
+        return self._sum_characters(columns[0] @ g, columns[1])
+
+    def catness(self, a: PauliTerms, eta: PauliTerms) -> complex:
+        """Tr[rho [A, [A, eta]]] from the blocks of A when A commutes with the
+        group and eta is a diagonal sum that does; through the kernel otherwise.
+
+        With e the values of eta, the window block of the double commutator is
+        sum_p A_ip A_pj (e_i + e_j - 2 e_p) = (K^dagger A_w + A_w^dagger K)_ij
+        for K_pj = A_pj (e_j - e_p), so it is exactly zero where e is constant.
+        """
+        cols, values = self._columns(a), self._orbit_values(eta)
+        if cols is None or values is None:
+            return super().catness(a, eta)
+        orbits, _, g = self._window
+        # e at each block position; the zeroed row dmax takes any orbit's value
+        held = np.zeros(cols.shape[:2])
+        held[np.arange(held.shape[0])[:, None], self.group.pos] = values
+        k = cols * (values[orbits] - held[:, :, None])
+        # Tr[G (K^dagger A_w + A_w^dagger K)] = 2 Re Tr[(A_w G)^dagger K]
+        return 2.0 * self._sum_characters(cols @ g, k)
 
     @cached_property
     def _table(self) -> np.ndarray:
         """table[g, i, r] = <a_i| rho |g . a_r> over the representatives a."""
         group = self.group
-        scaled = self.u * np.sqrt(self.weights)[:, None, :]
         count, dmax = group.valid.shape
+        u = self.u
+        if self.rows is not None:  # a projection's rows outside its window read as zero
+            keep = np.zeros((count, dmax + 1), dtype=bool)
+            keep[np.arange(count)[:, None], group.pos[:, self._inside]] = True
+            u = np.where(keep[:, :dmax, None], u, 0.0)
+        scaled = u * np.sqrt(self.weights)[:, None, :]
         # one zero row and column at dmax, which pos gives orbits with no state
         blocks = np.zeros((count, dmax + 1, dmax + 1), dtype=complex)
         blocks[:, :dmax, :dmax] = scaled @ scaled.conj().transpose(0, 2, 1)

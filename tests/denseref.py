@@ -63,6 +63,13 @@ def gibbs(hmat, beta):
     return weights / np.trace(weights).real
 
 
+def ground(hmat, tol=1e-9):
+    """The ground-space projector of hmat, mixed uniformly when degenerate."""
+    vals, vecs = np.linalg.eigh(hmat)
+    low = vecs[:, vals <= vals[0] + tol * max(1.0, abs(vals[0]))]
+    return low @ low.conj().T / low.shape[1]
+
+
 def mz_eigenvalues(n):
     dim = 2**n
     return np.array([n - 2 * bin(k).count("1") for k in range(dim)], dtype=float)

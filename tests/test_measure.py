@@ -10,7 +10,7 @@ from numpy.random import Generator, Philox
 from hypothesis import given, settings, strategies as st
 
 import denseref
-from catlab import cli, measure
+from catlab import cli, measure, spincore
 from catlab.analysis import (averaged_identity_check, energy_moments_dense,
                              sufficient_conditions_check, transverse_moments)
 from catlab.errors import ImpossibleOutcomeError, InvalidOutcomeError
@@ -28,7 +28,7 @@ from catlab.measure import (
 from catlab.spincore import (QuantumState, SpectralState, additive_observable,
                              as_state, mz_projector, pauli_terms, pure_state,
                              total_magnetization)
-from catlab.thermal import SpinHamiltonian, gibbs_state
+from catlab.thermal import SpinHamiltonian, gibbs_state, ground_state
 
 ATOL = 1e-12
 
@@ -277,11 +277,13 @@ _J = (0.2, 0.1, 0.3)
 
 
 def _window_cases(n):
-    """(state, its dense reference) pairs: a Gibbs state on each boundary and
-    a random dense state."""
+    """(state, its dense reference) pairs: a Gibbs and a ground state on each
+    boundary and a random dense state."""
     for boundary in ("periodic", "open"):
         ham = SpinHamiltonian(n=n, h=0.7, j=_J, boundary=boundary)
-        yield gibbs_state(ham, 0.9), denseref.gibbs(denseref.hamiltonian(n, 0.7, _J, boundary), 0.9)
+        hmat = denseref.hamiltonian(n, 0.7, _J, boundary)
+        yield gibbs_state(ham, 0.9), denseref.gibbs(hmat, 0.9)
+        yield ground_state(ham), denseref.ground(hmat)
     dense = denseref.random_density_matrix(n, np.random.default_rng(n))
     yield QuantumState(dense), dense
 
@@ -301,27 +303,61 @@ def _pauli_sums(n):
 def test_window_state_matches_dense_reference(n):
     low = n % 2
     inner = OutcomeSpec.exact(low)
-    specs = (inner, OutcomeSpec.exact(-n), OutcomeSpec.interval(-1, 3))
+    specs = (inner, OutcomeSpec.exact(-n), OutcomeSpec.interval(-1, 3),
+             OutcomeSpec.interval(-1, 1), OutcomeSpec.interval(-2, 2))
     rng = np.random.default_rng(n)
     rows, cols = rng.integers(0, 2**n, (2, 40))
     mask = rng.random(2**n) < 0.5
     picked = np.flatnonzero(mask)
+    sums = _pauli_sums(n)
+    dense_sums = [(terms, tmat, tmat @ tmat) for terms in sums for tmat in [terms.dense()]]
+    mx, mx_dense = total_magnetization("x", n).terms(), denseref.magnetization("x", n)
+    witnesses = {}
+
+    def check_sums(post, want, picked_sums):
+        for terms, tmat, tmat2 in picked_sums:
+            assert post.expect(terms) == pytest.approx(np.einsum("ij,ji->", want, tmat),
+                                                       rel=1e-12, abs=ATOL)
+            assert post.expect(terms, terms) == pytest.approx(
+                np.einsum("ij,ji->", want, tmat2), rel=1e-12, abs=ATOL)
+
+    def check_catness(post, want, eta):
+        # Tr[rho [Mx, [Mx, P]]], the dense double commutator taken once per window
+        key = (eta.m_lo, eta.m_hi)
+        if key not in witnesses:
+            witnesses[key] = denseref.double_commutator(mx_dense, denseref.sector_projector(n, *key))
+        want_c = np.einsum("ij,ji->", want, witnesses[key]).real
+        assert post.catness(mx, eta.projector(n)) == pytest.approx(want_c, rel=1e-12, abs=ATOL)
+
     for rho, dense in _window_cases(n):
         for spec in specs:
             post = post_state(rho, spec)
             want, _ = denseref.project(dense, denseref.sector_projector(n, spec.m_lo, spec.m_hi))
+            window = spec.mask(n)
+            # the global flip reverses the basis order: a mirrored window
+            # commutes with every symmetry group
+            kept = isinstance(rho, SpectralState) and np.array_equal(window, window[::-1])
+            assert isinstance(post, SpectralState) == kept
+            np.testing.assert_allclose(post.diagonal(), np.diag(want), atol=ATOL)
+            assert post.purity == pytest.approx(np.trace(want @ want).real, rel=1e-12)
+            np.testing.assert_array_equal(post.support(), np.flatnonzero(window))
+            check_catness(post, want, spec)
+            check_catness(post, want, OutcomeSpec.interval(-n, n))
+            check_sums(post, want, dense_sums[:3])
+            if kept:
+                # every read of an invariant sum came from the factors and the blocks
+                assert "_table" not in vars(post)
+            check_catness(post, want, inner)
+            check_sums(post, want, dense_sums[3:])
             np.testing.assert_allclose(post.entries(rows, cols), want[rows, cols], atol=ATOL)
             np.testing.assert_allclose(post.entries(picked[:, None], picked),
                                        want[np.ix_(mask, mask)], atol=ATOL)
-            np.testing.assert_allclose(post.diagonal(), np.diag(want), atol=ATOL)
-            assert post.purity == pytest.approx(np.trace(want @ want).real, rel=1e-12)
-            np.testing.assert_array_equal(post.support(), np.flatnonzero(spec.mask(n)))
             if isinstance(rho, SpectralState):
                 assert np.isrealobj(post.entries(picked[:, None], picked))
             assert "mat" not in vars(post)
             reference = QuantumState(post.mat)
             np.testing.assert_allclose(post.mat, want, atol=ATOL)
-            for terms in _pauli_sums(n):
+            for terms in sums:
                 assert terms.expect(post) == pytest.approx(terms.expect(reference),
                                                            rel=1e-12, abs=ATOL)
             if spec is not specs[1]:
@@ -383,18 +419,41 @@ def test_sufficiency_allocates_no_dense_matrix():
     a, b = total_magnetization("x", 10), total_magnetization("z", 10)
     peak = _peak_bytes(lambda: sufficient_conditions_check(a, b, rho, (0,)))
     assert peak < 4**10 * 8
+    # the m = 0 sector is read from the blocks, with no table of the Gibbs rows
+    assert "_table" not in vars(rho)
 
 
-def test_dense_columns_allocate_no_dense_matrix(monkeypatch):
-    rho = gibbs_state(_XYZ10, 0.9)
+def _row_reads(monkeypatch, ham, beta):
+    """The peak bytes that the CSV row's reads allocate after gibbs_state,
+    with the Gibbs state and its post-state; fails if a WindowState is made."""
+    rho = gibbs_state(ham, beta)
     made = []
 
     def keep(state, spec):
         made.append(post_state(state, spec))
         return made[-1]
 
+    def no_window(*args):
+        raise AssertionError("the row made a WindowState")
+
     monkeypatch.setattr(cli, "post_state", keep)
+    monkeypatch.setattr(spincore.WindowState, "__init__", no_window)
     spec = OutcomeSpec.exact(0)
-    peak = _peak_bytes(lambda: cli._dense_columns(_XYZ10, rho, spec))
+    peak = _peak_bytes(lambda: (outcome_probability(rho, spec),
+                                cli._dense_columns(ham, rho, spec)))
+    return peak, rho, made[0]
+
+
+def test_dense_columns_allocate_no_dense_matrix(monkeypatch):
+    peak, rho, post = _row_reads(monkeypatch, _XYZ10, 0.9)
     assert peak < 4**10 * 8
-    assert "mat" not in vars(rho) and "mat" not in vars(made[0])
+    for state in (rho, post):
+        assert "mat" not in vars(state) and "_table" not in vars(state)
+
+
+def test_cap_row_reads_its_blocks_in_under_sixteen_mib(monkeypatch):
+    # the orbit table alone took 44.7 MiB here; the masked eigenvectors are 7.3 MB
+    peak, rho, post = _row_reads(monkeypatch, SpinHamiltonian(n=12, h=1.0), 1.0)
+    assert peak < 4**12
+    for state in (rho, post):
+        assert "mat" not in vars(state) and "_table" not in vars(state)
