@@ -805,9 +805,9 @@ class SpectralState(QuantumState):
     def expect(self, *factors: PauliTerms) -> complex:
         """Tr[rho F_1 ... F_k]: from the blocks when k <= 2 and every factor
         commutes with the group, through the kernel otherwise."""
-        columns = [self._columns(f) for f in factors] if len(factors) <= 2 else [None]
-        if any(cols is None for cols in columns):
+        if len(factors) > 2 or any(self._columns(f) is None for f in factors):
             return super().expect(*factors)
+        columns = [self._columns(f) for f in factors]
         _, at, g = self._window
         if len(columns) == 1:  # Tr[G T_ww] = Tr[G^dagger T_ww]
             inner = columns[0][np.arange(at.shape[0])[:, None], at]
