@@ -423,10 +423,9 @@ def test_sufficiency_allocates_no_dense_matrix():
     assert "_table" not in vars(rho)
 
 
-def _row_reads(monkeypatch, ham, beta):
-    """The peak bytes that the CSV row's reads allocate after gibbs_state,
-    with the Gibbs state and its post-state; fails if a WindowState is made."""
-    rho = gibbs_state(ham, beta)
+def _row_reads(monkeypatch, ham, rho):
+    """The peak bytes that the CSV row's reads of rho allocate, with rho and
+    its post-state; fails if a WindowState is made."""
     made = []
 
     def keep(state, spec):
@@ -445,7 +444,7 @@ def _row_reads(monkeypatch, ham, beta):
 
 
 def test_dense_columns_allocate_no_dense_matrix(monkeypatch):
-    peak, rho, post = _row_reads(monkeypatch, _XYZ10, 0.9)
+    peak, rho, post = _row_reads(monkeypatch, _XYZ10, gibbs_state(_XYZ10, 0.9))
     assert peak < 4**10 * 8
     for state in (rho, post):
         assert "mat" not in vars(state) and "_table" not in vars(state)
@@ -453,7 +452,16 @@ def test_dense_columns_allocate_no_dense_matrix(monkeypatch):
 
 def test_cap_row_reads_its_blocks_in_under_sixteen_mib(monkeypatch):
     # the orbit table alone took 44.7 MiB here; the masked eigenvectors are 7.3 MB
-    peak, rho, post = _row_reads(monkeypatch, SpinHamiltonian(n=12, h=1.0), 1.0)
+    ham = SpinHamiltonian(n=12, h=1.0)
+    peak, rho, post = _row_reads(monkeypatch, ham, gibbs_state(ham, 1.0))
     assert peak < 4**12
+    for state in (rho, post):
+        assert "mat" not in vars(state) and "_table" not in vars(state)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_ground_row_reads_its_blocks(monkeypatch, boundary):
+    ham = SpinHamiltonian(n=8, h=0.7, j=_J, boundary=boundary)
+    _, rho, post = _row_reads(monkeypatch, ham, ground_state(ham))
     for state in (rho, post):
         assert "mat" not in vars(state) and "_table" not in vars(state)
