@@ -27,8 +27,7 @@ from .indices import (CatnessReport, VcmMatrix, c_closed_form_free, expect_c,
                       optimal_witness, q_functional, vcm, witness_w)
 from .measure import (OutcomeDistribution, OutcomeSpec, double_projection_c,
                       double_projection_dense, outcome_distribution,
-                      outcome_probability, post_state, sample_outcome,
-                      sample_outcomes)
+                      outcome_probability, post_state, sample_outcomes)
 from .oracle import FAMILIES, FamilyResult, run_families
 from .records import (CSV_COLUMNS, append_jsonl, mix_seed, read_csv,
                       splitmix64, write_csv)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .indices import (_catness_form, _state_factors, c_closed_form_free,
-                      expect_c, fit_exponent)
+from .indices import (_catness_form, c_closed_form_free, expect_c,
+                      fit_exponent)
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state)
 from .spincore import (QuantumState, _bit_table, _herm_eigh,
@@ -60,7 +60,7 @@ def energy_moments_free_closed(n: int, m: int, betah: float, h: float) -> Energy
 
 
 def energy_moments_dense(rho: QuantumState, ham: SpinHamiltonian) -> EnergyMoments:
-    """<H> and <H^2> - <H>^2 of a dense state, through the bit-operation kernel."""
+    """<H> and <H^2> - <H>^2 of a state, read by its expect."""
     hterms = ham.terms()
     mean = rho.expect(hterms).real
     second = rho.expect(hterms, hterms).real
@@ -68,7 +68,7 @@ def energy_moments_dense(rho: QuantumState, ham: SpinHamiltonian) -> EnergyMomen
 
 
 def transverse_moments(rho_post: QuantumState) -> tuple[float, float, float]:
-    """(<Mx>, <My>, <Mx^2>) of a dense state, through the bit-operation kernel."""
+    """(<Mx>, <My>, <Mx^2>) of a state, read by its expect."""
     n = rho_post.n
     mx = total_magnetization("x", n).terms()
     my = total_magnetization("y", n).terms()
@@ -292,7 +292,7 @@ def time_evolution_invariance(rho_post: QuantumState, ham: SpinHamiltonian,
         raise ContractViolationError("state has no support on any sector")
     window = (int(occupied.min()), int(occupied.max()))
 
-    weights, vecs, _ = _state_factors(rho_post)
+    weights, vecs = rho_post.factors()
 
     def witness(cols: np.ndarray) -> float:
         return _catness_form(weights, cols, [a_obs]).value((1.0,))[0]

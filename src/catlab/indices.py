@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .spincore import (_GATHER_CHUNK, AdditiveObservable, FactoredState,
-                       PauliTerms, QuantumState, _check_cap,
+from .spincore import (_EIG_FLOOR, _GATHER_CHUNK, AdditiveObservable,
+                       FactoredState, PauliTerms, QuantumState, _check_cap,
                        _check_outcome_parity, _herm_eigh, additive_observable,
                        mz_values, pauli_terms, pure_state, snap_interval,
                        total_magnetization, uniform_observable)
@@ -37,7 +37,6 @@ from .thermal import _log_binom, interval_r_count
 
 SEARCH_RESOLUTION = 312
 PURITY_PURE_TOL = 1e-10
-_EIG_FLOOR = 1e-12
 _POLAR_MAXITER = 50  # form evaluations of the polar polish
 
 FIXTURE_KINDS = ("cat_plus", "cat_minus", "rho_ex1", "rho_ex2", "rho_ex3",
@@ -107,7 +106,7 @@ def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
     if emat is None:
         val = rho.catness(a.terms(), eta)
     else:
-        form = _catness_form(*_state_factors(rho)[:2], [a])
+        form = _catness_form(*rho.factors(), [a])
         side = emat if form.basis is None else form.basis @ emat @ form.basis.conj().T
         val = complex(np.einsum("ij,ji->", form.forms[0], side))
     scale = 1.0 + abs(val)
@@ -165,7 +164,7 @@ def optimal_witness(rho: QuantumState, a: AdditiveObservable) -> tuple[np.ndarra
     D is eigensolved as its form F = B D B^dagger (_catness_form), and eta's
     eigenvectors go back through B: eta, a plain array, is the one d x d array.
     """
-    form = _catness_form(*_state_factors(rho)[:2], [a])
+    form = _catness_form(*rho.factors(), [a])
     w, u = _herm_eigh(form.forms[0], "[A, [A, rho]]")
     scale = 1.0 + float(np.abs(w).max(initial=0.0))
     sel = w > _EIG_FLOOR * scale
@@ -175,44 +174,9 @@ def optimal_witness(rho: QuantumState, a: AdditiveObservable) -> tuple[np.ndarra
 
 def q_functional(rho: QuantumState, a: AdditiveObservable) -> float:
     """Trace norm of [A, [A, rho]], from its form; zero exactly when A and rho commute."""
-    form = _catness_form(*_state_factors(rho)[:2], [a])
+    form = _catness_form(*rho.factors(), [a])
     lam = _herm_eigh(form.forms[0], "[A, [A, rho]]", _values_only=True)
     return float(np.abs(lam).sum())
-
-
-def _state_factors(rho: QuantumState) -> tuple[np.ndarray, np.ndarray, bool]:
-    """rho = V diag(w) V^dagger over the weights above _EIG_FLOOR, ascending,
-    and whether rho commutes with M_z: whether its support block has no
-    nonzero entry between two magnetization sectors.
-
-    A FactoredState gives its own factors, with no eigensolve, and its block
-    is scanned in row chunks of at most _GATHER_CHUNK entries. Any other
-    state is read through entries() on its support and eigensolved where rho
-    has a nonzero row or column: exact, as a zero row of a positive
-    semidefinite matrix is a kernel vector, and every nonzero entry stays in
-    the block checked for hermiticity. Eigenvectors, scattered back to
-    length 2^n, are real when that block is.
-    """
-    rows = rho.support()
-    if isinstance(rho, FactoredState):
-        sectors, step = mz_values(rho.n)[rows], max(1, _GATHER_CHUNK // rows.size)
-        commutes = not any(((rho.entries(rows[lo:lo + step, None], rows) != 0)
-                            & (sectors[lo:lo + step, None] != sectors)).any()
-                           for lo in range(0, rows.size, step))
-        sel = rho.weights > _EIG_FLOOR
-        return rho.weights[sel], rho.vecs[:, sel], commutes
-    block = rho.entries(rows[:, None], rows)
-    nonzero = block != 0
-    keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    if keep.size < rows.size:  # copy only when a zero row is dropped
-        block, nonzero = block[np.ix_(keep, keep)], nonzero[np.ix_(keep, keep)]
-    support, sectors = rows[keep], mz_values(rho.n)[rows[keep]]
-    commutes = not (nonzero & (sectors[:, None] != sectors)).any()
-    w, v = _herm_eigh(block, "state")
-    sel = w > _EIG_FLOOR
-    vecs = np.zeros((rho.dim, int(sel.sum())), dtype=v.dtype)
-    vecs[support] = v[:, sel]
-    return w[sel], vecs, commutes
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,6 +371,18 @@ def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> np.ndarray:
     return sim[0]
 
 
+def _commutes_with_mz(rho: QuantumState) -> bool:
+    """Whether rho commutes with M_z: whether its support block has no
+    nonzero entry between two magnetization sectors, read through entries()
+    in row chunks of at most _GATHER_CHUNK entries and stopping at the first
+    chunk that has one."""
+    rows = rho.support()
+    sectors, step = mz_values(rho.n)[rows], max(1, _GATHER_CHUNK // rows.size)
+    return not any(((rho.entries(rows[lo:lo + step, None], rows) != 0)
+                    & (sectors[lo:lo + step, None] != sectors)).any()
+                   for lo in range(0, rows.size, step))
+
+
 def observable_search(rho: QuantumState,
                       resolution: int = SEARCH_RESOLUTION) -> CatnessReport:
     """Maximize the eta-optimal catness over additive observables.
@@ -433,7 +409,8 @@ def observable_search(rho: QuantumState,
     if resolution < 2:
         raise DomainError("need at least two grid directions")
     n = rho.n
-    weights, vecs, commutes = _state_factors(rho)
+    weights, vecs = rho.factors()
+    commutes = _commutes_with_mz(rho)
     axes = [0, 2] if commutes else [0, 1, 2]
     value = _catness_form(weights, vecs, [total_magnetization("xyz"[a], n)
                                           for a in axes]).value
@@ -480,7 +457,7 @@ def vcm(pure: QuantumState) -> VcmMatrix:
     if pure.purity <= 1.0 - PURITY_PURE_TOL:
         raise ContractViolationError(
             f"VCM needs a pure state, got purity {pure.purity:.12f}")
-    return _vcm_of(_state_factors(pure)[1][:, -1], pure.n)
+    return _vcm_of(pure.factors()[1][:, -1], pure.n)
 
 
 def _vcm_of(psi: np.ndarray, n: int) -> VcmMatrix:

@@ -152,11 +152,6 @@ def sample_outcomes(dist: OutcomeDistribution, seeds: int | np.ndarray):
     return dist.support[np.minimum(k, len(probs) - 1)]
 
 
-def sample_outcome(dist: OutcomeDistribution, seed: int) -> int:
-    """Draw one outcome: sample_outcomes for a single seed."""
-    return int(sample_outcomes(dist, seed))
-
-
 def double_projection_c(n: int, m_x: int, m_z: int) -> float:
     """Closed-form <C> after measuring M_x = m_x and then M_z = m_z.
 

@@ -26,7 +26,7 @@ from .indices import (c_closed_form_free, expect_c, fit_exponent,
                       optimal_witness, q_functional, vcm, witness_w)
 from .measure import (OutcomeSpec, double_projection_c, double_projection_dense,
                       outcome_distribution, outcome_probability, post_state,
-                      sample_outcome, sample_outcomes)
+                      sample_outcomes)
 from .records import mix_seed
 from .spincore import (QuantumState, additive_observable, herm_expm,
                        mz_interval_projector, mz_projector, mz_values,
@@ -456,7 +456,7 @@ def _fam_sampling(max_n: int, rng, ck: _Collector) -> None:
     rho = gibbs_state(SpinHamiltonian(n=n, h=1.0), 0.5)
     dist = outcome_distribution(rho)
     ck.ok("one seed gives one outcome",
-          sample_outcome(dist, 12345) == sample_outcome(dist, 12345))
+          sample_outcomes(dist, 12345) == sample_outcomes(dist, 12345))
     draws = 20000
     outcomes = sample_outcomes(dist, mix_seed(99, np.arange(draws, dtype=np.uint64)))
     worst = max(abs(np.count_nonzero(outcomes == m) / draws - p)

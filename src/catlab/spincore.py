@@ -35,10 +35,13 @@ invariant sums (expect, catness) are read per character from those factors
 and the blocks of the sums, which symmetry_eigh's block builder makes. Any
 other projection (WindowState) keeps its block on the measured window; a
 pure state or a low-rank mixture (FactoredState) keeps its orthonormal
-columns and weights. Other reads of a SpectralState gather entries from its
-rows at the orbit representatives. All three gather their dense view
-through entries(), on request only. A magnetization projector is a
-PauliTerms with one diagonal term.
+columns and weights. Other reads of a SpectralState gather entries from a
+table over the orbits of its support, the character sum of the same
+per-character blocks. All three gather their dense view through entries(),
+on request only. Every state gives its factors rho = V diag(w) V^dagger
+through factors(): a FactoredState its own columns, any other state an
+eigensolve of its support block. A magnetization projector is a PauliTerms
+with one diagonal term.
 
 Basis convention, shared by all modules: computational z basis, ordered
 lexicographically with site 1 as the most significant tensor factor, and
@@ -58,6 +61,7 @@ from .errors import (CapacityError, ContractViolationError,
 DENSE_CAP = 12
 HERM_TOL = 1e-12
 PSD_FLOOR = -1e-10
+_EIG_FLOOR = 1e-12  # the floor at or below which a weight or a relative eigenvalue counts as zero
 _GATHER_CHUNK = 1 << 21  # entries per gather step when a state's rows are read in chunks
 
 _AXES = ("x", "y", "z")
@@ -260,6 +264,27 @@ class QuantumState:
         """Tr[rho [A, [A, eta]]], through the kernel double commutator."""
         return a.double_commutator(eta).expect(self)
 
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) with rho = V diag(w) V^dagger over the weights above
+        _EIG_FLOOR, ascending; V has 2^n rows.
+
+        The support block, read through entries(), is eigensolved where rho
+        has a nonzero row or column: exact, as a zero row of a positive
+        semidefinite matrix is a kernel vector, and every nonzero entry stays
+        in the block checked for hermiticity. V is real when that block is.
+        """
+        rows = self.support()
+        block = self.entries(rows[:, None], rows)
+        nonzero = block != 0
+        keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        if keep.size < rows.size:  # copy only when a zero row is dropped
+            block = block[np.ix_(keep, keep)]
+        w, v = _herm_eigh(block, "state")
+        sel = w > _EIG_FLOOR
+        vecs = np.zeros((self.dim, int(sel.sum())), dtype=v.dtype)
+        vecs[rows[keep]] = v[:, sel]
+        return w[sel], vecs
+
 
 def _dense_view(rho: QuantumState) -> np.ndarray:
     """The dense rho, gathered through entries() in row chunks."""
@@ -354,6 +379,11 @@ class FactoredState(QuantumState):
 
     def support(self) -> np.ndarray:
         return np.flatnonzero((self.vecs != 0).any(axis=1))
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Its own columns and weights above _EIG_FLOOR, with no eigensolve."""
+        sel = self.weights > _EIG_FLOOR
+        return self.weights[sel], self.vecs[:, sel]
 
     mat = cached_property(_dense_view)
 
@@ -686,9 +716,10 @@ class SpectralState(QuantumState):
     X_c = u_c sqrt(w_c) on the window and the window columns of the blocks
     of those sums (_character_blocks), with no table. Every other read goes
     through entries(): rho[s, s'] = rho[rep(s), g_s . s'] where
-    g_s . s = rep(s), so the rows at the orbit representatives are built
-    once from the small blocks and entries() gathers from them; the dense
-    .mat is built through it on first access only.
+    g_s . s = rep(s), so the rows at the representatives of the support
+    orbits are built once as the character sum of the same window blocks
+    G_c = X_c X_c^dagger (_table), and entries() gathers from them; the
+    dense .mat is built through it on first access only.
     """
 
     def __init__(self, group: _SymmetryGroup, u: np.ndarray, weights: np.ndarray,
@@ -835,32 +866,26 @@ class SpectralState(QuantumState):
         return 2.0 * self._sum_characters(cols @ g, k)
 
     @cached_property
-    def _table(self) -> np.ndarray:
-        """table[g, i, r] = <a_i| rho |g . a_r> over the representatives a."""
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(table, slot): table[g, slot(s), slot(s')] = <rep(s)| rho |g . rep(s')>,
+        the character sum of the window blocks G_c. slot(s) is the position of
+        the orbit of s among the support orbits, or their count outside the
+        support, which is one zero row and column of the table."""
         group = self.group
-        count, dmax = group.valid.shape
-        u = self.u
-        if self.rows is not None:  # a projection's rows outside its window read as zero
-            keep = np.zeros((count, dmax + 1), dtype=bool)
-            keep[np.arange(count)[:, None], group.pos[:, self._inside]] = True
-            u = np.where(keep[:, :dmax, None], u, 0.0)
-        scaled = u * np.sqrt(self.weights)[:, None, :]
-        # one zero row and column at dmax, which pos gives orbits with no state
-        blocks = np.zeros((count, dmax + 1, dmax + 1), dtype=complex)
-        blocks[:, :dmax, :dmax] = scaled @ scaled.conj().transpose(0, 2, 1)
-        by_orbit = blocks[np.arange(count)[:, None, None], group.pos[:, :, None],
-                          group.pos[:, None, :]]
-        # sum over every character of chi(g) times its block: a kept row
-        # whose conjugate was dropped counts twice its real part
-        table = np.tensordot(group.mult * group.chars.T, by_orbit, axes=1).real
-        root = np.sqrt(group.stab / len(group.images))
-        return table * root[:, None] * root
+        orbits, _, g = self._window
+        slot = np.full(group.reps.size, orbits.size)
+        slot[orbits] = np.arange(orbits.size)
+        # a kept row whose conjugate was dropped counts twice its real part
+        table = np.zeros((len(group.images), orbits.size + 1, orbits.size + 1))
+        root = np.sqrt(group.stab[orbits] / len(group.images))
+        np.multiply(np.tensordot(group.mult * group.chars.T, g, axes=1).real,
+                    root[:, None] * root, out=table[:, :-1, :-1])
+        return table, slot[group.rep_index]
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """rho[rows, cols] read from the table, as real numbers."""
-        group = self.group
-        return self._table[group.compose[group.to_rep[rows], group.to_rep[cols]],
-                           group.rep_index[rows], group.rep_index[cols]]
+        group, (table, slot) = self.group, self._table
+        return table[group.compose[group.to_rep[rows], group.to_rep[cols]], slot[rows], slot[cols]]
 
     mat = cached_property(_dense_view)
 

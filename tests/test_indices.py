@@ -12,11 +12,11 @@ from scipy.optimize import minimize_scalar
 from scipy.special import comb
 
 import denseref
-from catlab import indices
+from catlab import indices, spincore
 from catlab.errors import ContractViolationError, DomainError, ImpossibleOutcomeError
 from catlab.indices import (
     _catness_form,
-    _state_factors,
+    _commutes_with_mz,
     c_closed_form_free,
     expect_c,
     fit_exponent,
@@ -353,7 +353,7 @@ def _assert_matches_dense(got, rho, amat):
 def test_catness_form_matches_dense_reference(n, rank):
     rng = np.random.default_rng(10 * n + (rank or 0))
     rho = as_state(denseref.random_density_matrix(n, rng, rank))
-    weights, vecs, _ = _state_factors(rho)
+    weights, vecs = rho.factors()
     uniform = _catness_form(weights, vecs,
                             [total_magnetization(axis, n) for axis in "xyz"])
     for _ in range(4):
@@ -384,8 +384,9 @@ def test_state_factors_restrict_to_the_support():
     g[0] *= 1e-4  # a support row with small entries must stay in the solve
     mat = np.zeros((16, 16), dtype=complex)
     mat[np.ix_(support, support)] = g @ g.conj().T / np.trace(g @ g.conj().T).real
-    weights, vecs, commutes = _state_factors(as_state(mat))
-    assert not commutes  # rows 1 and 6 lie in different M_z sectors
+    rho = as_state(mat)
+    weights, vecs = rho.factors()
+    assert not _commutes_with_mz(rho)  # rows 1 and 6 lie in different M_z sectors
     w = np.linalg.eigvalsh(mat)
     np.testing.assert_allclose(weights, w[w > 1e-12], rtol=1e-12)
     off = np.setdiff1d(np.arange(16), support)
@@ -467,8 +468,8 @@ def test_state_factors_of_a_factored_state_run_no_eigensolve(monkeypatch):
         calls.append(args)
         return herm_eigh(*args, **kwargs)
 
-    monkeypatch.setattr(indices, "_herm_eigh", counting)
-    got = {name: _state_factors(rho) for name, rho in states.items()}
+    monkeypatch.setattr(spincore, "_herm_eigh", counting)
+    got = {name: (*rho.factors(), _commutes_with_mz(rho)) for name, rho in states.items()}
     assert calls == []
     monkeypatch.undo()
     for name in ("rho_ex2", "one_sector"):
@@ -477,7 +478,9 @@ def test_state_factors_of_a_factored_state_run_no_eigensolve(monkeypatch):
         assert got[name][2] is False
     for name, (weights, vecs, commutes) in got.items():
         # the eigensolve of the dense matrix agrees on weights and commutation
-        dense_w, _, dense_commutes = _state_factors(as_state(states[name].mat))
+        dense = as_state(states[name].mat)
+        dense_w, _ = dense.factors()
+        dense_commutes = _commutes_with_mz(dense)
         np.testing.assert_allclose(weights, dense_w, rtol=0, atol=1e-12)
         assert commutes == dense_commutes
         assert np.all(np.diff(weights) >= 0.0)
@@ -485,7 +488,7 @@ def test_state_factors_of_a_factored_state_run_no_eigensolve(monkeypatch):
                                    rtol=0, atol=1e-14)
 
 
-def test_state_factors_scan_a_full_support_state_in_bounded_chunks(monkeypatch):
+def test_commutation_scan_reads_a_full_support_state_in_bounded_chunks(monkeypatch):
     n = 10
     rng = np.random.default_rng(21)
     generic = pure_state(rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n))
@@ -493,7 +496,7 @@ def test_state_factors_scan_a_full_support_state_in_bounded_chunks(monkeypatch):
     monkeypatch.setattr(indices, "_GATHER_CHUNK", 1 << 16)
     tracemalloc.start()
     try:
-        commutes = _state_factors(generic)[2]
+        commutes = _commutes_with_mz(generic)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -507,8 +510,8 @@ def test_state_factors_scan_a_full_support_state_in_bounded_chunks(monkeypatch):
         vecs = np.zeros((2**n, 2), dtype=complex)
         vecs[:, 0], vecs[-2:, 1] = sector, tail
         rho = FactoredState(vecs, np.array([0.5, 0.5]))
-        assert _state_factors(rho)[2] is want
-        assert _state_factors(as_state(rho.mat))[2] is want
+        assert _commutes_with_mz(rho) is want
+        assert _commutes_with_mz(as_state(rho.mat)) is want
 
 
 @pytest.mark.parametrize("kind", indices.FIXTURE_KINDS)
@@ -609,15 +612,35 @@ def test_rho_ex2_search_value_closed_form():
         assert got == pytest.approx(want, rel=1e-6)
 
 
+def test_witnesses_of_a_factored_state_read_no_entries(monkeypatch):
+    # its columns are its factors, and only the search asks whether it
+    # commutes with M_z
+    pure, mixed = fixture_states("psi2", 6), fixture_states("rho_ex1", 6)
+    mx = total_magnetization("x", 6)
+
+    def reads():
+        return (vcm(pure).e_max, optimal_witness(mixed, mx)[1], q_functional(mixed, mx),
+                expect_c(mixed, mx, witness_w(6)))
+
+    want = reads()
+
+    def no_entries(*args):
+        raise AssertionError("entries() was read")
+
+    monkeypatch.setattr(FactoredState, "entries", no_entries)
+    assert reads() == want
+
+
 def test_observable_search_factors_a_pure_state_once(monkeypatch):
     # the search and its covariance candidate share one factorization
     calls = []
+    factors = FactoredState.factors
 
     def counting(rho):
         calls.append(rho)
-        return _state_factors(rho)
+        return factors(rho)
 
-    monkeypatch.setattr(indices, "_state_factors", counting)
+    monkeypatch.setattr(FactoredState, "factors", counting)
     report = observable_search(fixture_states("cat_plus", 6))
     assert len(calls) == 1
     assert report.c_value == pytest.approx(2.0 * 6 * 6, rel=1e-10)
@@ -700,7 +723,7 @@ def test_search_is_no_worse_than_the_full_sphere_search(name):
 @pytest.mark.parametrize("name", sorted(_COMMUTING))
 def test_commuting_search_matches_a_dense_polar_scan(name):
     rho = _COMMUTING[name][0]()
-    assert _state_factors(rho)[2]
+    assert _commutes_with_mz(rho)
     report = observable_search(rho)
     assert report.c_value == pytest.approx(_dense_polar_scan(rho.mat, rho.n), rel=1e-8)
     # the value does not depend on the azimuth, and the reported one is 0
@@ -712,8 +735,8 @@ def test_commuting_search_matches_a_dense_polar_scan(name):
 def test_non_commuting_states_keep_the_sphere_search(name):
     make, sphere = _NON_COMMUTING[name]
     rho = make()
-    _, vecs, commutes = _state_factors(rho)
-    assert not commutes
+    _, vecs = rho.factors()
+    assert not _commutes_with_mz(rho)
     assert vecs.dtype == complex
     # the same code path as the pinned search; its last digits (rho_ex1 at
     # n = 8 and 10) follow the BLAS thread count, so the match is relative
@@ -723,8 +746,8 @@ def test_non_commuting_states_keep_the_sphere_search(name):
 def test_interval_post_state_keeps_the_sphere_search_on_real_factors():
     make, sphere = _INTERVAL
     rho = make()
-    _, vecs, commutes = _state_factors(rho)
-    assert not commutes  # the window [-2, 2] holds three M_z sectors
+    _, vecs = rho.factors()
+    assert not _commutes_with_mz(rho)  # the window [-2, 2] holds three M_z sectors
     assert vecs.dtype == np.float64
     assert observable_search(rho).c_value == pytest.approx(sphere, rel=1e-12)
 
@@ -733,9 +756,10 @@ def test_interval_post_state_keeps_the_sphere_search_on_real_factors():
 def test_polar_forms_are_real_for_a_real_state(m):
     # m = 0 has more form columns than rows and keeps the standard basis;
     # the pure m = 6 state takes the SVD basis
-    weights, vecs, commutes = _state_factors(_ring_post(OutcomeSpec.exact(m)))
+    rho = _ring_post(OutcomeSpec.exact(m))
+    weights, vecs = rho.factors()
     form = _catness_form(weights, vecs, [total_magnetization(axis, 6) for axis in "xz"])
-    assert commutes
+    assert _commutes_with_mz(rho)
     assert vecs.dtype == form.forms.dtype == np.float64
 
 @pytest.mark.parametrize("resolution", [2, 3])

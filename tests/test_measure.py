@@ -22,7 +22,6 @@ from catlab.measure import (
     outcome_distribution,
     outcome_probability,
     post_state,
-    sample_outcome,
     sample_outcomes,
 )
 from catlab.spincore import (QuantumState, SpectralState, additive_observable,
@@ -123,10 +122,10 @@ def test_random_states_give_normalized_distributions(seed):
 
 def test_sample_outcome_deterministic_per_seed():
     dist = outcome_distribution(free_gibbs(6, 1.0))
-    first = sample_outcome(dist, 12345)
-    assert first == sample_outcome(dist, 12345)
+    first = sample_outcomes(dist, 12345)
+    assert first == sample_outcomes(dist, 12345)
     assert first in set(dist.support)
-    draws = {sample_outcome(dist, s) for s in range(40)}
+    draws = {sample_outcomes(dist, s) for s in range(40)}
     assert len(draws) > 1
     batch = sample_outcomes(dist, np.array([12345, 12345, *range(40)]))
     assert batch[0] == batch[1] == first
@@ -138,7 +137,7 @@ def test_sample_outcome_frequencies_track_probabilities():
     counts = {m: 0 for m in dist.support}
     shots = 4000
     for s in range(shots):
-        counts[sample_outcome(dist, s)] += 1
+        counts[sample_outcomes(dist, s)] += 1
     batch = sample_outcomes(dist, np.arange(shots, dtype=np.uint64))
     for m, p in zip(dist.support, dist.probs):
         assert counts[m] / shots == pytest.approx(p, abs=0.03)
@@ -155,7 +154,7 @@ _PINNED_DRAWS = [-6, -2, 0, 4, 2, 2, -4, 0, -2, 0, 2, -2, -4, 4, -4, -2, -6, 0, 
 
 def test_sample_outcome_keeps_its_pinned_draws():
     dist = outcome_distribution(free_gibbs(6, 1.0))
-    assert [sample_outcome(dist, s) for s in _PINNED_SEEDS] == _PINNED_DRAWS
+    assert [sample_outcomes(dist, s) for s in _PINNED_SEEDS] == _PINNED_DRAWS
     # a seed outside [0, 2**64) is reduced mod 2**64 before it keys the draw
     keys = np.array([s & ((1 << 64) - 1) for s in _PINNED_SEEDS], dtype=np.uint64)
     assert sample_outcomes(dist, keys).tolist() == _PINNED_DRAWS
@@ -457,6 +456,21 @@ def test_cap_row_reads_its_blocks_in_under_sixteen_mib(monkeypatch):
     assert peak < 4**12
     for state in (rho, post):
         assert "mat" not in vars(state) and "_table" not in vars(state)
+
+
+def test_transverse_moments_read_a_table_of_the_window_orbits():
+    # the table of every orbit took 54.4 MiB here; this one holds the m = 0 orbits
+    rho = gibbs_state(SpinHamiltonian(n=12, h=1.0, j=(0.2, 0.0, 0.1)), 1.0)
+    post = post_state(rho, OutcomeSpec.exact(0))
+    assert isinstance(post, SpectralState)
+    got = []
+    assert _peak_bytes(lambda: got.append(transverse_moments(post))) <= 16 << 20
+    table, _ = post._table
+    orbits = np.unique(post.group.rep_index[post.rows]).size
+    assert table.shape == (len(post.group.images), orbits + 1, orbits + 1)
+    assert "_table" not in vars(rho)
+    # the state commutes with the global flip, under which Mx and My are odd
+    assert got[0][:2] == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])

@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 from catlab import (OutcomeSpec, SpinHamiltonian, fixture_states, gibbs_state,
                     post_state, total_magnetization)
 from catlab.indices import (_POLAR_MAXITER, _catness_form, _minimize_bounded,
-                            _nelder_mead, _state_factors, _unit)
+                            _nelder_mead, _unit)
 from catlab.thermal import _log_binom, _logsumexp
 
 
@@ -42,7 +42,7 @@ def _recorded(f):
 
 @functools.cache
 def _form(rho, axes: str):
-    weights, vecs, _ = _state_factors(rho)
+    weights, vecs = rho.factors()
     return _catness_form(weights, vecs, [total_magnetization(a, rho.n) for a in axes]).value
 
 
