@@ -37,7 +37,6 @@ from .thermal import _log_binom, interval_r_count
 
 SEARCH_RESOLUTION = 312
 PURITY_PURE_TOL = 1e-10
-_POLAR_MAXITER = 50  # form evaluations of the polar polish
 
 FIXTURE_KINDS = ("cat_plus", "cat_minus", "rho_ex1", "rho_ex2", "rho_ex3",
                  "psi1", "psi2")
@@ -261,71 +260,16 @@ def _grid_directions(k: int, half_plane: bool = False) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-def _unit(theta: float, phi: float = 0.0) -> np.ndarray:
+def _unit(theta: float, phi: float) -> np.ndarray:
     return np.array([math.sin(theta) * math.cos(phi),
                      math.sin(theta) * math.sin(phi), math.cos(theta)])
 
 
-def _minimize_bounded(f, a: float, b: float, xatol: float, maxfun: int) -> float:
-    """Brent's bounded minimization of f on (a, b), at most maxfun evaluations;
-    returns the best x. It evaluates exactly the points, in the same order, of
-    scipy.optimize.minimize_scalar(method="bounded") with this xatol and
-    maxiter = maxfun: a port of scipy 1.17.1's _minimize_scalar_bounded (BSD
-    licence), keeping its arithmetic."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf
+def _polar(z: float) -> np.ndarray:
+    """(sqrt(1 - z^2), 0, z) for z clipped to [-1, 1], as _grid_directions
+    places its half-plane points."""
+    z = min(max(z, -1.0), 1.0)
+    return np.array([math.sqrt(1.0 - z * z), 0.0, z])
 
 
 def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> np.ndarray:
@@ -401,10 +345,11 @@ def observable_search(rho: QuantumState,
 
     A rho that commutes with M_z is unchanged by rotations about z, so D(d)
     depends on the polar angle theta of d alone. Then three forms over Mx and
-    Mz (real when rho is) serve the ceil(resolution / 2) distinct polar
-    angles of the same spiral, a bounded polish searches between the
-    neighbours of the best one (taking the pole or the equator exactly when
-    it closes that bracket), and a_used is (sin theta, 0, cos theta).
+    Mz (real when rho is) serve the equator, the pole and the
+    ceil(resolution / 2) distinct polar angles of the same spiral, all
+    evaluated exactly. The same Nelder-Mead polish then runs over z = cos
+    theta from the best of them, on (sqrt(1 - z^2), 0, z) (_polar), and
+    a_used lies in the xz plane.
     """
     if resolution < 2:
         raise DomainError("need at least two grid directions")
@@ -422,25 +367,18 @@ def observable_search(rho: QuantumState,
             best[:] = val, eta_tr, direction
         return -val
 
-    for direction in _grid_directions(resolution, half_plane=commutes):
+    grid = _grid_directions(resolution, half_plane=commutes)
+    if commutes:  # the equator and the pole exactly, then the grid
+        grid = np.vstack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], grid])
+    for direction in grid:
         negated(direction)
     z = float(best[2][2])
-    if commutes:
-        # the neighbouring grid angles, z being 2 / resolution apart on the
-        # grid; the pole and the equator close the ends
-        z_hi, z_lo = min(z + 2.0 / resolution, 1.0), max(z - 2.0 / resolution, 0.0)
-        # the bounded polish never evaluates its ends, so a closing pole or
-        # equator is evaluated exactly here, out of the same budget
-        ends = [end for end, closes in ((np.array([0.0, 0.0, 1.0]), z_hi == 1.0),
-                                        (np.array([1.0, 0.0, 0.0]), z_lo == 0.0)) if closes]
-        for end in ends:
-            negated(end)
-        _minimize_bounded(lambda th: negated(_unit(th)), math.acos(z_hi),
-                          math.acos(z_lo), 1e-10, _POLAR_MAXITER - len(ends))
+    if commutes:  # over z, so the polish starts exactly at the best direction
+        start, to_direction = [z], _polar
     else:
-        start = [math.acos(float(np.clip(z, -1.0, 1.0))),
-                 math.atan2(float(best[2][1]), float(best[2][0]))]
-        _nelder_mead(lambda angles: negated(_unit(*angles)), start, 1e-4, 1e-10, 200)
+        start, to_direction = [math.acos(float(np.clip(z, -1.0, 1.0))),
+                               math.atan2(float(best[2][1]), float(best[2][0]))], _unit
+    _nelder_mead(lambda x: negated(to_direction(*x)), start, 1e-4, 1e-10, 200)
     best_val, best_eta, best_obs = best[0], best[1], uniform_observable(best[2], n)
 
     if rho.purity > 1.0 - PURITY_PURE_TOL:

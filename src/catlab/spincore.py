@@ -22,7 +22,7 @@ the symmetry blocks below and the search forms of the index layer, both
 Hermitian by construction, call eigh themselves. The spin Hamiltonians are
 real and commute with the global spin flip, and a ring's with its cyclic
 translation too, so symmetry_eigh diagonalizes them in one block per
-character of that group: two flip-parity blocks for an open chain, 2n
+character of that group: two real flip-parity blocks for an open chain, 2n
 momentum and parity blocks of about 2^n / 2n states for a ring, read from
 the bit-operation kernel with no dense matrix. Every entry of a state is
 read through QuantumState.entries(rows, cols), and a kernel trace reads only
@@ -590,6 +590,8 @@ def _symmetry_group(n: int, translation: bool) -> _SymmetryGroup:
     k = np.arange(length // 2 + 1)
     chars = (np.exp(2j * np.pi * np.outer(k, t) / length)[:, None, :]
              * np.where(f, [[1.0], [-1.0]], 1.0)).reshape(-1, 2 * length)
+    if length == 1:  # the flip alone has the real characters +-1
+        chars = np.ascontiguousarray(chars.real)
     trivial = np.abs(chars - 1.0) < 1e-9
     allowed = ~(fixes.T[None] & ~trivial[:, None, :]).any(axis=2)
     sizes = allowed.sum(axis=1)
@@ -660,7 +662,7 @@ def _character_blocks(group: _SymmetryGroup, masks: np.ndarray, amps: np.ndarray
                * (amps[:, reps] * np.sqrt(group.stab[row] / group.stab[held])))
     count, side = group.pos.shape[0], group.valid.shape[1] + 1
     cols = group.pos[:, None, :] if orbits is None else np.arange(orbits.size)
-    blocks = np.zeros((count, side, side if orbits is None else orbits.size), dtype=complex)
+    blocks = np.zeros((count, side, side if orbits is None else orbits.size), dtype=entries.dtype)
     np.add.at(blocks, (np.arange(count)[:, None, None], group.pos[:, row], cols), entries)
     return blocks
 
@@ -671,8 +673,8 @@ def symmetry_eigh(terms: PauliTerms, translation: bool
     as (group, w, u).
 
     The group is generated by the global flip and, when translation is set,
-    the cyclic translation of a ring: an open chain gets the two flip-parity
-    blocks of 2^(n-1) states, a ring 2n blocks of about 2^n / 2n. The state
+    the cyclic translation of a ring: an open chain gets two real flip-parity
+    blocks of 2^(n-1) states, a ring 2n complex ones of about 2^n / 2n. The state
     of orbit a in the block of character chi has the coefficient
     chi(g)* sqrt(|Stab_a| / |G|) on s = g . a, and the block entries are
     read from the amplitudes of terms (_character_blocks), with no dense

@@ -1,9 +1,10 @@
 """catlab runs without scipy: its in-package ports against scipy itself.
 
-The two search polishes are ports of scipy's bounded Brent and Nelder-Mead
-minimizers. Each must evaluate exactly scipy's points, in scipy's order, with
-catlab's options, so every search-bearing output is unchanged. The log-gamma
-binomial and the log-sum-exp replace scipy.special.
+Both search polishes, over the polar z of a state that commutes with M_z and
+over the sphere otherwise, call one port of scipy's Nelder-Mead minimizer. It
+must evaluate exactly scipy's points, in scipy's order, with catlab's options,
+so every search-bearing output is unchanged. The log-gamma binomial and the
+log-sum-exp replace scipy.special.
 """
 from __future__ import annotations
 
@@ -16,13 +17,12 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from catlab import (OutcomeSpec, SpinHamiltonian, fixture_states, gibbs_state,
                     post_state, total_magnetization)
-from catlab.indices import (_POLAR_MAXITER, _catness_form, _minimize_bounded,
-                            _nelder_mead, _unit)
+from catlab.indices import _catness_form, _nelder_mead, _polar, _unit
 from catlab.thermal import _log_binom, _logsumexp
 
 
@@ -51,40 +51,10 @@ _POST = post_state(gibbs_state(SpinHamiltonian(n=6, h=1.0, j=(0.2, 0.0, 0.1)), b
 _RHO_EX1 = fixture_states("rho_ex1", 6)
 
 
-def _polar_catness(theta):
-    """catlab's own polar objective: minus the catness of an m = 0 post-state."""
-    return -_form(_POST, "xz")(_unit(theta)[[0, 2]])[0]
-
-
-_BOUNDED = {
-    "quadratic": (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-10, 50),
-    # a parabolic step lands on the minimum, so the next step has rat == 0
-    "parabola_hits_its_minimum": (lambda x: (x - 0.5) ** 2, 0.0, 1.0, 1e-10, 50),
-    "cosine": (lambda x: math.cos(3.0 * x) + 0.1 * x, 0.2, 2.5, 1e-10, 50),
-    "gaussian_sine": (lambda x: -math.exp(-(x - 1.1) ** 2) * math.sin(x), 0.5, 2.0, 1e-10, 48),
-    "abs_interior": (lambda x: abs(x - 0.7), 0.0, 1.0, 1e-10, 50),
-    "abs_at_golden_point": (lambda x: abs(x - 0.5 * (3.0 - math.sqrt(5.0))), 0.0, 1.0, 1e-10, 50),
-    "minimum_at_lower_end": (lambda x: x, 0.1, 0.9, 1e-10, 50),
-    "minimum_at_upper_end": (lambda x: -x * x, 0.1, 0.9, 1e-10, 49),
-    "constant": (lambda x: 1.0, 0.0, 1.0, 1e-10, 50),
-    "cut_by_maxiter": (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-10, 5),
-    "cut_at_one_evaluation": (lambda x: math.sin(x), 0.0, 3.0, 1e-10, 1),
-    "default_xatol": (lambda x: (x - 2.0) ** 4 + x, 1.0, 3.0, 1e-5, 500),
-    "catlab_polar": (_polar_catness, 0.0, 0.5 * math.pi, 1e-10, _POLAR_MAXITER),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_BOUNDED))
-def test_bounded_port_evaluates_scipys_points(name):
-    f, lo, hi, xatol, maxfun = _BOUNDED[name]
-    want, g = _recorded(f)
-    res = minimize_scalar(g, bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol, "maxiter": maxfun})
-    got, g = _recorded(f)
-    x = _minimize_bounded(g, lo, hi, xatol, maxfun)
-    assert len(got) == len(want) == res.nfev
-    assert all(a == b for a, b in zip(got, want))
-    assert x == res.x
+def _polar_catness(x):
+    """catlab's own polar objective: minus the catness of an m = 0 post-state,
+    over z = cos(theta)."""
+    return -_form(_POST, "xz")(_polar(*x)[[0, 2]])[0]
 
 
 def _rosenbrock(x):
@@ -109,6 +79,7 @@ _NELDER_MEAD = {
     "one_dimension": (lambda x: (x[0] - 3.0) ** 2, [0.0]),
     "three_dimensions": (lambda x: float(np.sum((x - np.arange(3.0)) ** 2)), [1.0, 0.0, 5.0]),
     "catlab_generic": (_generic_catness, [1.1, 0.3]),
+    "catlab_polar": (_polar_catness, [0.3]),
 }
 
 

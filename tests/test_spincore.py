@@ -33,7 +33,7 @@ from catlab.spincore import (
     total_magnetization,
     uniform_observable,
 )
-from catlab.thermal import SpinHamiltonian
+from catlab.thermal import SpinHamiltonian, gibbs_state
 
 ATOL = 1e-12
 RTOL = 1e-12
@@ -170,6 +170,16 @@ def test_symmetry_eigh_rejects_asymmetric_or_complex_input():
     lopsided = np.array([1.0, 2.0, 2.0, 1.0])
     with pytest.raises(ContractViolationError, match="Hermitian"):
         symmetry_eigh(PauliTerms(2, {1: lopsided, 2: lopsided}), translation=True)
+
+
+def test_open_chain_eigensolves_real_blocks():
+    # the flip alone has the real characters +-1, so both blocks are real
+    ham = SpinHamiltonian(n=6, h=1.0, j=(0.2, 0.0, 0.1), boundary="open")
+    group, w, u = symmetry_eigh(ham.terms(), translation=False)
+    assert group.chars.dtype == w.dtype == u.dtype == np.float64
+    rho = gibbs_state(ham, beta=1.0)
+    want = denseref.gibbs(denseref.hamiltonian(6, 1.0, (0.2, 0.0, 0.1), "open"), 1.0)
+    np.testing.assert_allclose(rho.mat, want, rtol=RTOL, atol=ATOL)
 
 
 def test_symmetry_group_tables_on_the_six_site_ring():
