@@ -227,6 +227,8 @@ def load_config(path: str, mode: str, seed: int | None = None) -> ExperimentConf
     values = dict(_MODE_DEFAULTS.get(mode, {}))
     values.update((key, _PARSERS[key](raw, key)) for key, raw in items.items())
     if seed is not None:
+        if "seed" not in _MODE_KEYS[mode]:
+            raise UsageError(f"--seed has no effect in {mode} mode, which takes no seed")
         values["seed"] = seed
     if {"jx", "jy", "jz"} & values.keys():
         values["j"] = tuple(values.pop(key, default) for key, default

@@ -360,12 +360,16 @@ def observable_search(rho: QuantumState,
     value = _catness_form(weights, vecs, [total_magnetization("xyz"[a], n)
                                           for a in axes]).value
     best: list = [-1.0, 0.0, None]  # value, eta trace, direction
+    seen: dict = {}  # -value by direction: the polar grid's z = 0 and polish start repeat
 
     def negated(direction: np.ndarray) -> float:
-        val, eta_tr = value(direction[axes])
-        if val > best[0]:
-            best[:] = val, eta_tr, direction
-        return -val
+        key = direction.tobytes()
+        if key not in seen:
+            val, eta_tr = value(direction[axes])
+            if val > best[0]:
+                best[:] = val, eta_tr, direction
+            seen[key] = -val
+        return seen[key]
 
     grid = _grid_directions(resolution, half_plane=commutes)
     if commutes:  # the equator and the pole exactly, then the grid

@@ -23,22 +23,22 @@ Hermitian by construction, call eigh themselves. The spin Hamiltonians are
 real and commute with the global spin flip, and a ring's with its cyclic
 translation too, so symmetry_eigh diagonalizes them in one block per
 character of that group: two real flip-parity blocks for an open chain, 2n
-momentum and parity blocks of about 2^n / 2n states for a ring, read from
+momentum and parity blocks for a ring, each with one row per orbit of the
+group (zero where its character holds no state of that orbit), read from
 the bit-operation kernel with no dense matrix. Every entry of a state is
 read through QuantumState.entries(rows, cols), and a kernel trace reads only
 the rows in support(). A state built from such a spectrum (SpectralState)
 keeps its group, eigenvectors and weights. A measurement goes through one
 method, QuantumState.project: a window that the group leaves invariant
-(symmetric about 0) keeps the SpectralState, whose eigenvector rows outside
-the window read as zero, and its diagonal, purity and the traces of
+(symmetric about 0) keeps the SpectralState, its support narrowed to the
+window's orbits (an orbit mask), and its diagonal, purity and the traces of
 invariant sums (expect, catness) are read per character from those factors
-and the blocks of the sums, which symmetry_eigh's block builder makes. Any
-other projection (WindowState) keeps its block on the measured window; a
-pure state or a low-rank mixture (FactoredState) keeps its orthonormal
-columns and weights. Other reads of a SpectralState gather entries from a
-table over the orbits of its support, the character sum of the same
-per-character blocks. All three gather their dense view through entries(),
-on request only. Every state gives its factors rho = V diag(w) V^dagger
+and the blocks of the sums (_character_blocks). Any other projection
+(WindowState) keeps its block on the measured window; a pure state or a
+low-rank mixture (FactoredState) keeps its orthonormal columns and weights.
+Other reads of a SpectralState gather entries from a table over the orbits
+of its support, the character sum of the same per-character blocks. All
+three gather their dense view through entries(), on request only. Every state gives its factors rho = V diag(w) V^dagger
 through factors(): a FactoredState its own columns, any other state an
 eigensolve of its support block. A magnetization projector is a PauliTerms
 with one diagonal term.
@@ -554,8 +554,8 @@ class _SymmetryGroup:
     p^f is kept only for k <= length / 2, as row c = 2 k + (p == -1): the
     blocks of k and length - k are complex conjugates, and mult counts both.
     A character has a state of orbit i only when it is trivial on the
-    stabilizer of reps[i]; pos is that state's position in its block, and
-    dmax, one past the largest block, where it has none.
+    stabilizer of reps[i] (held); every block has one row per orbit, and the
+    trivial character holds every orbit.
     """
 
     n: int
@@ -567,8 +567,8 @@ class _SymmetryGroup:
     stab: np.ndarray       # (N,): stabilizer sizes
     chars: np.ndarray      # (C, G): chi_c(g)
     mult: np.ndarray       # (C,): 1 for k = 0 or 2 k = length, else 2
-    pos: np.ndarray        # (C, N): block position of orbit i, or dmax
-    valid: np.ndarray      # (C, dmax): block position j holds a state
+    held: np.ndarray       # (C, N): character c has a state of orbit i
+    valid: np.ndarray      # (C, N): eigenvector j of block c is a state
     compose: np.ndarray    # (G, G): the index of g h^-1
 
 
@@ -593,28 +593,16 @@ def _symmetry_group(n: int, translation: bool) -> _SymmetryGroup:
     if length == 1:  # the flip alone has the real characters +-1
         chars = np.ascontiguousarray(chars.real)
     trivial = np.abs(chars - 1.0) < 1e-9
-    allowed = ~(fixes.T[None] & ~trivial[:, None, :]).any(axis=2)
-    sizes = allowed.sum(axis=1)
-    dmax = int(sizes.max())
+    held = ~(fixes.T[None] & ~trivial[:, None, :]).any(axis=2)
     tables = dict(
         images=images, reps=reps, rep_index=lookup[rep],
         to_rep=images.argmin(axis=0), stab=fixes.sum(axis=0), chars=chars,
         mult=np.repeat(np.where((k == 0) | (2 * k == length), 1, 2), 2),
-        pos=np.where(allowed, np.cumsum(allowed, axis=1) - 1, dmax),
-        valid=np.arange(dmax) < sizes[:, None],
+        held=held, valid=np.arange(reps.size) < held.sum(axis=1)[:, None],
         compose=2 * ((t[:, None] - t) % length) + (f[:, None] ^ f))
     for table in tables.values():
         table.setflags(write=False)
     return _SymmetryGroup(n=n, length=length, **tables)
-
-
-def _real_amplitudes(terms: PauliTerms) -> tuple[np.ndarray, np.ndarray]:
-    """The flip masks of a real Pauli sum and its amplitudes, one row each."""
-    masks = np.fromiter(terms.flips, dtype=np.intp, count=len(terms.flips))
-    amps = np.empty((masks.size, 1 << terms.n))
-    for row, amp in zip(amps, terms.flips.values()):
-        row[:] = amp
-    return masks, amps
 
 
 def _symmetry_defect(group: _SymmetryGroup, masks: np.ndarray, amps: np.ndarray) -> str | None:
@@ -640,30 +628,38 @@ def _symmetry_defect(group: _SymmetryGroup, masks: np.ndarray, amps: np.ndarray)
     return None
 
 
-def _character_blocks(group: _SymmetryGroup, masks: np.ndarray, amps: np.ndarray,
-                      orbits: np.ndarray | None = None) -> np.ndarray:
-    """The blocks of a real Pauli sum that commutes with group, one per
-    character, read from its amplitudes with no dense matrix.
+def _character_blocks(group: _SymmetryGroup, terms: PauliTerms, orbits: np.ndarray) -> np.ndarray:
+    """The blocks of a Pauli sum T over group's characters, read from its
+    amplitudes with no dense matrix: row i of block c holds
+    <chi_c, a_i| T |chi_c, a_j> for the representatives a, in column k for
+    orbit j = orbits[k], and the rows and columns of the orbits that c holds
+    no state of are zero.
 
-    Row pos[c, i] of block c holds <chi_c, a_i| T | . > for the
-    representatives a; row dmax collects the orbits that character c holds
-    no state of, and is not part of it. Without orbits the blocks are square,
-    column pos[c, j] holding |chi_c, a_j> (so column dmax is not part of it
-    either); with orbits, column k holds orbit orbits[k], and is not part of
-    block c where c holds no state of that orbit.
+    Raises, saying why, when T has no such blocks: it has a complex
+    amplitude, it is not Hermitian, or it breaks a generator of group.
     """
-    # <chi, rep(b)| H |chi, a> gains amp_f(a) chi(g_b)* sqrt(|Stab_rep(b)| / |Stab_a|)
+    if terms.n != group.n or terms.dtype is complex:
+        raise ContractViolationError(f"symmetry blocks need real amplitudes at n={group.n}")
+    masks = np.fromiter(terms.flips, dtype=np.intp, count=len(terms.flips))
+    amps = np.empty((masks.size, 1 << terms.n))
+    for row, amp in zip(amps, terms.flips.values()):
+        row[:] = amp
+    defect = _symmetry_defect(group, masks, amps)
+    if defect is not None:
+        raise ContractViolationError(f"symmetry blocks: the Pauli sum {defect}")
+    # <chi, rep(b)| T |chi, a> gains amp_f(a) chi(g_b)* sqrt(|Stab_rep(b)| / |Stab_a|)
     # from b = a ^ f, where g_b . b = rep(b)
-    held = slice(None) if orbits is None else orbits
-    reps = group.reps[held]
+    reps = group.reps[orbits]
     target = reps ^ masks[:, None]
     row = group.rep_index[target]
     entries = (group.chars.conj()[:, group.to_rep[target]]
-               * (amps[:, reps] * np.sqrt(group.stab[row] / group.stab[held])))
-    count, side = group.pos.shape[0], group.valid.shape[1] + 1
-    cols = group.pos[:, None, :] if orbits is None else np.arange(orbits.size)
-    blocks = np.zeros((count, side, side if orbits is None else orbits.size), dtype=entries.dtype)
-    np.add.at(blocks, (np.arange(count)[:, None, None], group.pos[:, row], cols), entries)
+               * (amps[:, reps] * np.sqrt(group.stab[row] / group.stab[orbits])))
+    entries *= group.held[:, row] & group.held[:, None, orbits]
+    blocks = np.zeros((len(group.chars), group.reps.size, orbits.size), dtype=entries.dtype)
+    # summed at flat indices: add.at is fastest over one dimension
+    at = np.ravel_multi_index((np.arange(len(blocks))[:, None, None], row,
+                               np.arange(orbits.size)), blocks.shape)
+    np.add.at(blocks.reshape(-1), at.ravel(), entries.ravel())
     return blocks
 
 
@@ -678,26 +674,21 @@ def symmetry_eigh(terms: PauliTerms, translation: bool
     of orbit a in the block of character chi has the coefficient
     chi(g)* sqrt(|Stab_a| / |G|) on s = g . a, and the block entries are
     read from the amplitudes of terms (_character_blocks), with no dense
-    matrix. Row c of w and u is the block of character c of group; position
-    j of a row holds an eigenpair where group.valid[c, j] and padding above
-    the spectrum elsewhere. Each row stands for group.mult[c] characters.
+    matrix. Row c of w and u is the block of character c of group, with one
+    row of u per orbit: the rows of the orbits c holds no state of are zero,
+    and eigenvector j is a state where group.valid[c, j], padding above the
+    spectrum elsewhere. Each row stands for group.mult[c] characters.
     Raises unless every amplitude is real, terms is Hermitian and it
     commutes with each generator.
     """
     n = _check_cap(terms.n)
     group = _symmetry_group(n, bool(translation))
-    if terms.dtype is complex:
-        raise ContractViolationError("symmetry_eigh needs real amplitudes")
-    masks, amps = _real_amplitudes(terms)
-    defect = _symmetry_defect(group, masks, amps)
-    if defect is not None:
-        raise ContractViolationError(f"symmetry_eigh input {defect}")
-    dmax = group.valid.shape[1]
-    blocks = _character_blocks(group, masks, amps)[:, :dmax, :dmax]
+    blocks = _character_blocks(group, terms, np.arange(group.reps.size))
     # the padding sits above |H| <= sum of the term norms, so it sorts last
-    c, j = np.nonzero(~group.valid)
-    blocks[c, j, j] = 1.0 + np.abs(amps).max(axis=1, initial=0.0).sum()
+    c, i = np.nonzero(~group.held)
+    blocks[c, i, i] = 1.0 + np.sum([np.abs(a).max() for a in terms.flips.values()])
     w, u = np.linalg.eigh(blocks)
+    u[c, i] = 0.0
     return group, w, u
 
 
@@ -706,18 +697,19 @@ class SpectralState(QuantumState):
     spectrum, kept as the group, the eigenvectors u and one weight per
     eigenvector: the sum of weights[c, j] |v><v| over the eigenvectors v,
     each row of u counted group.mult[c] times. The weights are >= 0 and zero
-    on the padding. A projection onto a window that the group leaves
-    invariant keeps this form (project): it shares u with the state it was
-    projected from, rows names the window, the rows of u outside it read as
-    zero, and the weights are scaled, so they are no longer the eigenvalues.
-    rows is None for an unprojected state.
+    on the padding. Its support is the orbits where the mask inside is set
+    (every orbit unless given). A projection onto a window that the group
+    leaves invariant keeps this form (project): it shares u with the state
+    it was projected from, narrows inside to the window's orbits, whose
+    complement reads as zero, and scales the weights, so they are no longer
+    the eigenvalues.
 
     It commutes with the group. The diagonal, the purity and the traces of
     Pauli sums that commute with the group (expect, catness) are read per
     character, over all characters at once, from the factors
-    X_c = u_c sqrt(w_c) on the window and the window columns of the blocks
-    of those sums (_character_blocks), with no table. Every other read goes
-    through entries(): rho[s, s'] = rho[rep(s), g_s . s'] where
+    X_c = u_c sqrt(w_c) on the support orbits and the columns of the blocks
+    of those sums at them (_character_blocks), with no table. Every other
+    read goes through entries(): rho[s, s'] = rho[rep(s), g_s . s'] where
     g_s . s = rep(s), so the rows at the representatives of the support
     orbits are built once as the character sum of the same window blocks
     G_c = X_c X_c^dagger (_table), and entries() gathers from them; the
@@ -725,15 +717,16 @@ class SpectralState(QuantumState):
     """
 
     def __init__(self, group: _SymmetryGroup, u: np.ndarray, weights: np.ndarray,
-                 rows: np.ndarray | None = None):
+                 inside: np.ndarray | None = None):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "inside", np.ones(group.reps.size, dtype=bool)
+                           if inside is None else inside)
         object.__setattr__(self, "_blocks", {})
 
     def __repr__(self) -> str:
-        window = "" if self.rows is None else f", window={self.rows.size}"
+        window = "" if self.inside.all() else f", window={self.support().size}"
         return f"SpectralState(dim={self.dim}{window})"
 
     @property
@@ -741,7 +734,7 @@ class SpectralState(QuantumState):
         return 1 << self.group.n
 
     def support(self) -> np.ndarray:
-        return np.arange(self.dim) if self.rows is None else self.rows
+        return np.flatnonzero(self.inside[self.group.rep_index])
 
     def project(self, mask: np.ndarray, scale: float = 1.0) -> QuantumState:
         """scale * P rho P; a SpectralState on the same group when P commutes
@@ -750,31 +743,17 @@ class SpectralState(QuantumState):
         inside = mask[group.reps]
         if not np.array_equal(inside[group.rep_index], mask):
             return super().project(mask, scale)
-        rows = np.flatnonzero(mask) if self.rows is None else self.rows[mask[self.rows]]
-        return SpectralState(group, self.u, self.weights * scale, rows)
+        return SpectralState(group, self.u, self.weights * scale, self.inside & inside)
 
     @cached_property
-    def _inside(self) -> np.ndarray:
-        """Whether each orbit lies in the support."""
-        inside = np.zeros(self.dim, dtype=bool)
-        inside[self.support()] = True
-        return inside[self.group.reps]
-
-    @cached_property
-    def _window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(orbits, at, G): the orbits in the support, their positions at[c]
-        in each character's block (dmax where c holds no state of them), and
-        G[c] = X_c X_c^dagger, the block of character c on those orbits, for
-        X_c the rows of u_c at their positions times sqrt(w_c); zero where c
-        holds no state."""
-        group = self.group
-        dmax = group.valid.shape[1]
-        orbits = np.flatnonzero(self._inside)
-        at = group.pos[:, orbits]
-        x = self.u[np.arange(at.shape[0])[:, None], np.minimum(at, dmax - 1)]
-        x[at == dmax] = 0.0
+    def _window(self) -> tuple[np.ndarray, np.ndarray]:
+        """(orbits, G): the support orbits and G[c] = X_c X_c^dagger, the
+        block of character c on them, for X_c the rows of u_c there times
+        sqrt(w_c); zero where c holds no state."""
+        orbits = np.flatnonzero(self.inside)
+        x = self.u[:, orbits]
         x *= np.sqrt(self.weights)[:, None, :]
-        return orbits, at, x @ x.conj().transpose(0, 2, 1)
+        return orbits, x @ x.conj().transpose(0, 2, 1)
 
     def diagonal(self) -> np.ndarray:
         return self._diagonal
@@ -785,39 +764,31 @@ class SpectralState(QuantumState):
         |Stab| / |G|, scattered to its orbit. Kept read-only, since every
         outcome of a measurement reads it."""
         group = self.group
-        count, dmax = group.valid.shape
-        # one zero column at dmax, which pos gives orbits with no state
-        by_position = np.zeros((count, dmax + 1))
-        for c, (u, w) in enumerate(zip(self.u, self.weights)):
-            by_position[c, :dmax] = (u.real ** 2 + u.imag ** 2) @ w
-        by_orbit = by_position[np.arange(count)[:, None], group.pos]
-        by_orbit = (group.mult[:, None] * by_orbit).sum(axis=0) * self._inside
+        by_orbit = np.stack([(u.real ** 2 + u.imag ** 2) @ w
+                             for u, w in zip(self.u, self.weights)])
+        by_orbit = (group.mult[:, None] * by_orbit).sum(axis=0) * self.inside
         diag = (by_orbit * (group.stab / len(group.images)))[group.rep_index]
         diag.setflags(write=False)
         return diag
 
     @cached_property
     def purity(self) -> float:
-        if self.rows is None:
+        if self.inside.all():
             return float((self.group.mult[:, None] * self.weights ** 2).sum())
-        # the weights of a projection are not its eigenvalues:
+        # once a projection drops an orbit, the weights are not its eigenvalues:
         # sum_c mult_c ||X_c^dagger X_c||^2, which is ||G_c||^2
-        g = self._window[2]
+        g = self._window[1]
         return float((self.group.mult[:, None, None] * (g.real ** 2 + g.imag ** 2)).sum())
 
     def _columns(self, terms: PauliTerms):
-        """T[:, orbits] for the support orbits, one block of dmax + 1 rows per
-        character (_character_blocks), with the row dmax zeroed; built once
-        per sum, and None when T is not a real Hermitian sum that commutes
-        with the group."""
+        """T[:, orbits] for the support orbits, one block per character
+        (_character_blocks); built once per sum, and None when T has no
+        blocks over the group."""
         if terms not in self._blocks:
-            columns = None
-            if terms.n == self.group.n and terms.dtype is not complex:
-                masks, amps = _real_amplitudes(terms)
-                if _symmetry_defect(self.group, masks, amps) is None:
-                    columns = _character_blocks(self.group, masks, amps, self._window[0])
-                    columns[:, -1] = 0.0
-            self._blocks[terms] = columns
+            try:
+                self._blocks[terms] = _character_blocks(self.group, terms, self._window[0])
+            except ContractViolationError:
+                self._blocks[terms] = None
         return self._blocks[terms]
 
     def _orbit_values(self, eta: PauliTerms):
@@ -841,10 +812,9 @@ class SpectralState(QuantumState):
         if len(factors) > 2 or any(self._columns(f) is None for f in factors):
             return super().expect(*factors)
         columns = [self._columns(f) for f in factors]
-        _, at, g = self._window
+        orbits, g = self._window
         if len(columns) == 1:  # Tr[G T_ww] = Tr[G^dagger T_ww]
-            inner = columns[0][np.arange(at.shape[0])[:, None], at]
-            return self._sum_characters(g.copy(), inner)
+            return self._sum_characters(g.copy(), columns[0][:, orbits])
         # Tr[G S_w^dagger T_w] = Tr[(S_w G)^dagger T_w], as S and T are Hermitian
         return self._sum_characters(columns[0] @ g, columns[1])
 
@@ -859,11 +829,8 @@ class SpectralState(QuantumState):
         cols, values = self._columns(a), self._orbit_values(eta)
         if cols is None or values is None:
             return super().catness(a, eta)
-        orbits, _, g = self._window
-        # e at each block position; the zeroed row dmax takes any orbit's value
-        held = np.zeros(cols.shape[:2])
-        held[np.arange(held.shape[0])[:, None], self.group.pos] = values
-        k = cols * (values[orbits] - held[:, :, None])
+        orbits, g = self._window
+        k = cols * (values[orbits] - values[:, None])
         # Tr[G (K^dagger A_w + A_w^dagger K)] = 2 Re Tr[(A_w G)^dagger K]
         return 2.0 * self._sum_characters(cols @ g, k)
 
@@ -874,7 +841,7 @@ class SpectralState(QuantumState):
         the orbit of s among the support orbits, or their count outside the
         support, which is one zero row and column of the table."""
         group = self.group
-        orbits, _, g = self._window
+        orbits, g = self._window
         slot = np.full(group.reps.size, orbits.size)
         slot[orbits] = np.arange(orbits.size)
         # a kept row whose conjugate was dropped counts twice its real part

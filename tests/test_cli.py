@@ -175,6 +175,19 @@ def test_convert_seed_flag_stands_in_for_the_seed_key(tmp_path, capsys):
     assert open(flag, "rb").read() == open(key, "rb").read()
 
 
+@pytest.mark.parametrize("mode, lines", [
+    ("interval", ("n = 6", "betah = 1.0", "intervals = -2:2")),
+    ("verify", ("n = 4", "m = 0", "betah = 1.0")),
+    ("fit", ("input_csv = rows.csv",)),
+    ("feasibility", ("n_spins = 100",)),
+])
+def test_seed_flag_is_a_usage_error_where_the_mode_takes_no_seed(tmp_path, capsys, mode, lines):
+    cfg = ini(tmp_path, "s.ini", f"[{mode}]", *lines)
+    assert load_config(cfg, mode).seed is None
+    assert main([mode, "--config", cfg, "--seed", "3"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_convert_jsonl_carries_wall_clock(tmp_path, capsys):
     cfg = ini(tmp_path, "c.ini", "[convert]", "n = 4", "betah = 1.0", "m = 0")
     log = str(tmp_path / "log.jsonl")

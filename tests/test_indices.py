@@ -796,6 +796,9 @@ def test_polar_search_evaluation_count(monkeypatch, resolution):
     monkeypatch.setattr(indices._CatnessForm, "value", counting)
     observable_search(_COMMUTING["post_m0"][0](), resolution=resolution)
     assert len(calls) <= math.ceil(resolution / 2) + 50
+    # no direction is evaluated twice: not the odd grid's z = 0, which is the
+    # equator, nor the polish's first vertex, which is the best direction
+    assert len({np.asarray(c).tobytes() for c in calls}) == len(calls)
 
 
 def test_search_reads_a_window_state_through_its_block():

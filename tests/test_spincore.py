@@ -192,9 +192,27 @@ def test_symmetry_group_tables_on_the_six_site_ring():
     assert group.stab[i] == 6  # T^2, T^4 and T^t F for odd t fix it
     # only the characters trivial on that stabilizer hold its orbit:
     # (k = 0, p = +1) in row 0 and (k = 3, p = -1) in row 7
-    assert list(np.flatnonzero(group.pos[:, i] < group.valid.shape[1])) == [0, 7]
+    assert list(np.flatnonzero(group.held[:, i])) == [0, 7]
     # the kept blocks, with their conjugates, hold every basis state once
     assert int(group.mult @ group.valid.sum(axis=1)) == 64
+
+
+@pytest.mark.parametrize("n, j, boundary", [(6, (0.0, 0.0, 0.0), "periodic"),
+                                          (8, (0.2, 0.1, 0.3), "periodic"),
+                                          (8, (0.2, 0.1, 0.3), "open")])
+def test_blocks_and_projections_are_indexed_by_orbit(n, j, boundary):
+    ham = SpinHamiltonian(n=n, h=1.0, j=j, boundary=boundary)
+    group, _, u = symmetry_eigh(ham.terms(), translation=boundary == "periodic")
+    # one row per orbit, the trivial character holding every orbit; the rows
+    # of an orbit a character holds no state of are exactly zero
+    assert u.shape[1:] == (group.reps.size, group.reps.size) and group.held[0].all()
+    assert not u[np.nonzero(~group.held)].any()
+    np.testing.assert_array_equal(group.valid.sum(axis=1), group.held.sum(axis=1))
+    mask = (mz_values(n) >= -2) & (mz_values(n) <= 2)
+    post = gibbs_state(ham, 1.0).project(mask, 2.0)
+    assert isinstance(post, SpectralState)
+    np.testing.assert_array_equal(post.inside, mask[group.reps])
+    np.testing.assert_array_equal(post.support(), np.flatnonzero(mask))
 
 
 def test_uniform_observable_realizes_magnetization():
