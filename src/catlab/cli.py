@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ContractViolationError as exc:
+    except (ContractViolationError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
@@ -117,9 +117,12 @@ def _dense_columns(ham: SpinHamiltonian, rho, spec: OutcomeSpec) -> dict:
     out = post_state(rho, spec)
     moments = energy_moments_dense(out, ham)
     mx = total_magnetization("x", ham.n)
-    return dict(c_dense=expect_c(out, mx, spec.projector(ham.n)),
+    cols = dict(c_dense=expect_c(out, mx, spec.projector(ham.n)),
                 purity=out.purity, e_mean=moments.mean, e_var=moments.variance,
                 mx2=out.expect(mx.terms(), mx.terms()).real)
+    if bad := [key for key, value in cols.items() if not math.isfinite(value)]:
+        raise ContractViolationError(f"non-finite {', '.join(bad)} at n={ham.n}")
+    return cols
 
 
 def _measured_row(cfg: ExperimentConfig, state, lo: int, hi: int,

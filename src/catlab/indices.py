@@ -3,7 +3,7 @@
 The central quantity is <C_{A,eta}> = Tr[rho [A, [A, eta]]] for an additive
 observable A and a projector eta. Its maximum over eta has a closed form
 (the positive eigenspace of [A, [A, rho]]), the maximum over uniform A is
-found by a golden-spiral direction grid with local refinement, and p-index
+found on a golden-spiral direction grid refined by an ascent, and p-index
 candidates for pure states come from the single-site variance-covariance
 matrix. Exponents are estimated from finite-size sweeps by extrapolating
 local log-log slopes to the large-n limit.
@@ -165,8 +165,7 @@ def optimal_witness(rho: QuantumState, a: AdditiveObservable) -> tuple[np.ndarra
     """
     form = _catness_form(*rho.factors(), [a])
     w, u = _herm_eigh(form.forms[0], "[A, [A, rho]]")
-    scale = 1.0 + float(np.abs(w).max(initial=0.0))
-    sel = w > _EIG_FLOOR * scale
+    sel = _positive(w)
     vecs = u[:, sel] if form.basis is None else form.basis.conj().T @ u[:, sel]
     return vecs @ vecs.conj().T, float(w[sel].sum())
 
@@ -192,21 +191,42 @@ class _CatnessForm:
     forms: np.ndarray
     basis: np.ndarray | None
 
-    def value(self, coeffs) -> tuple[float, float]:
-        """(max-over-eta value, optimal eta trace): the sum and the count of
-        the positive eigenvalues of D. D scales as |c|^2, so coeffs are
-        scaled to unit length first, as uniform_observable scales a direction.
-        """
+    def _at(self, coeffs) -> tuple[np.ndarray, np.ndarray]:
+        """(c, D(c)) for c the unit vector along coeffs: D scales as |c|^2, so
+        coeffs are scaled to unit length, as uniform_observable scales a direction."""
         c = np.asarray(coeffs, dtype=float)
         nrm = np.linalg.norm(c)
         if not np.isfinite(nrm) or nrm < 1e-12:
             raise ContractViolationError("direction must be a nonzero vector")
         c = c / nrm
-        mix = c[self.pairs[:, 0]] * c[self.pairs[:, 1]]
-        lam = np.linalg.eigvalsh(np.tensordot(mix, self.forms, axes=1))
-        scale = 1.0 + float(np.abs(lam).max(initial=0.0))
-        pos = lam[lam > _EIG_FLOOR * scale]
+        return c, np.tensordot(c[self.pairs[:, 0]] * c[self.pairs[:, 1]], self.forms, axes=1)
+
+    def value(self, coeffs) -> tuple[float, float]:
+        """(max-over-eta value, optimal eta trace): the sum and the count of
+        the positive eigenvalues of D(c)."""
+        lam = np.linalg.eigvalsh(self._at(coeffs)[1])
+        pos = lam[_positive(lam)]
         return float(pos.sum()), float(pos.size)
+
+    def step(self, coeffs) -> np.ndarray:
+        """The ascent step from c: Q's top unit eigenvector c', signed to agree
+        with c, for P the projector on D(c)'s positive eigenspace and Q the
+        symmetric matrix with c'^T Q c' = Tr[P D(c')]. No step lowers the value:
+        value(c') >= Tr[P D(c')] >= Tr[P D(c)] = value(c), as value maximizes
+        over projectors and c' maximizes the form over unit vectors."""
+        c, mat = self._at(coeffs)
+        lam, u = _herm_eigh(mat, "[A, [A, rho]]")
+        pos = u[:, _positive(lam)]
+        half = np.zeros((c.size, c.size))  # Q = half + half^T: Tr[P G_ab] / 2 at a <= b
+        half[tuple(self.pairs.T)] = 0.5 * np.tensordot(self.forms, pos @ pos.conj().T,
+                                                       axes=([1, 2], [1, 0])).real
+        top = _herm_eigh(half + half.T, "catness quadratic form")[1][:, -1]
+        return top if top @ c >= 0.0 else -top
+
+
+def _positive(lam: np.ndarray) -> np.ndarray:
+    """The eigenvalues above _EIG_FLOOR relative to the largest magnitude."""
+    return lam > _EIG_FLOOR * (1.0 + float(np.abs(lam).max(initial=0.0)))
 
 
 def _catness_form(weights: np.ndarray, vecs: np.ndarray,
@@ -260,61 +280,6 @@ def _grid_directions(k: int, half_plane: bool = False) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-def _unit(theta: float, phi: float) -> np.ndarray:
-    return np.array([math.sin(theta) * math.cos(phi),
-                     math.sin(theta) * math.sin(phi), math.cos(theta)])
-
-
-def _polar(z: float) -> np.ndarray:
-    """(sqrt(1 - z^2), 0, z) for z clipped to [-1, 1], as _grid_directions
-    places its half-plane points."""
-    z = min(max(z, -1.0), 1.0)
-    return np.array([math.sqrt(1.0 - z * z), 0.0, z])
-
-
-def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> np.ndarray:
-    """Nelder-Mead minimization of f from x0; returns the best vertex. It
-    evaluates exactly the points, in the same order, of scipy.optimize.minimize(
-    method="Nelder-Mead") with these xatol, fatol and maxiter and no other
-    option: a port of scipy 1.17.1's _minimize_neldermead (BSD licence), with
-    its default simplex, not adaptive and without bounds."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(x.copy()) for x in sim], dtype=float)
-    for _ in range(2):  # scipy sorts the first simplex twice
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    for _ in range(maxiter - 1):
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]  # reflect
-        fxr = f(xr.copy())
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]  # expand
-            fxe = f(xe.copy())
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            outside = fxr < fsim[-1]
-            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-            fxc = f(xc.copy())
-            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j].copy())
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0]
-
-
 def _commutes_with_mz(rho: QuantumState) -> bool:
     """Whether rho commutes with M_z: whether its support block has no
     nonzero entry between two magnetization sectors, read through entries()
@@ -332,7 +297,7 @@ def observable_search(rho: QuantumState,
     """Maximize the eta-optimal catness over additive observables.
 
     Candidates are uniform observables on a golden-spiral direction grid,
-    a polish of the best grid direction, and (for pure states) the
+    an ascent from the best grid direction, and (for pure states) the
     site-dependent observable suggested by the covariance matrix.
     Deterministic for a fixed resolution.
 
@@ -341,15 +306,15 @@ def observable_search(rho: QuantumState,
     state (_catness_form) and each direction costs one linear combination and
     one eigvalsh of side K <= min(10 rank(rho), 2^n). The forms take
     6 * K^2 * 16 bytes: 96 MB for a full-rank state at n = 10. The grid has
-    resolution directions and a Nelder-Mead polish follows.
+    resolution directions. The ascent takes at most 200 _CatnessForm.step
+    moves, each retried at twice its length while the value rises, and stops
+    at a fixed point of the step or at a move that does not raise the value.
 
     A rho that commutes with M_z is unchanged by rotations about z, so D(d)
     depends on the polar angle theta of d alone. Then three forms over Mx and
     Mz (real when rho is) serve the equator, the pole and the
     ceil(resolution / 2) distinct polar angles of the same spiral, all
-    evaluated exactly. The same Nelder-Mead polish then runs over z = cos
-    theta from the best of them, on (sqrt(1 - z^2), 0, z) (_polar), and
-    a_used lies in the xz plane.
+    evaluated exactly; the ascent runs in the xz plane, where a_used lies.
     """
     if resolution < 2:
         raise DomainError("need at least two grid directions")
@@ -357,33 +322,39 @@ def observable_search(rho: QuantumState,
     weights, vecs = rho.factors()
     commutes = _commutes_with_mz(rho)
     axes = [0, 2] if commutes else [0, 1, 2]
-    value = _catness_form(weights, vecs, [total_magnetization("xyz"[a], n)
-                                          for a in axes]).value
-    best: list = [-1.0, 0.0, None]  # value, eta trace, direction
-    seen: dict = {}  # -value by direction: the polar grid's z = 0 and polish start repeat
+    form = _catness_form(weights, vecs, [total_magnetization("xyz"[a], n) for a in axes])
+    best: list = [-1.0, 0.0, None]  # value, eta trace, direction over axes
+    seen: set = set()  # the polar grid's z = 0 repeats the equator
 
-    def negated(direction: np.ndarray) -> float:
-        key = direction.tobytes()
-        if key not in seen:
-            val, eta_tr = value(direction[axes])
-            if val > best[0]:
-                best[:] = val, eta_tr, direction
-            seen[key] = -val
-        return seen[key]
+    def evaluate(c: np.ndarray) -> bool:
+        """Whether c, evaluated once, raises the best value."""
+        if c.tobytes() in seen:
+            return False
+        seen.add(c.tobytes())
+        val, eta_tr = form.value(c)
+        if val <= best[0]:
+            return False
+        best[:] = val, eta_tr, c
+        return True
 
     grid = _grid_directions(resolution, half_plane=commutes)
     if commutes:  # the equator and the pole exactly, then the grid
         grid = np.vstack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], grid])
-    for direction in grid:
-        negated(direction)
-    z = float(best[2][2])
-    if commutes:  # over z, so the polish starts exactly at the best direction
-        start, to_direction = [z], _polar
-    else:
-        start, to_direction = [math.acos(float(np.clip(z, -1.0, 1.0))),
-                               math.atan2(float(best[2][1]), float(best[2][0]))], _unit
-    _nelder_mead(lambda x: negated(to_direction(*x)), start, 1e-4, 1e-10, 200)
-    best_val, best_eta, best_obs = best[0], best[1], uniform_observable(best[2], n)
+    for c in grid[:, axes]:
+        evaluate(c)
+    for _ in range(200):
+        start = best[2]
+        move = form.step(start) - start
+        if np.abs(move).max() <= 1e-12:  # a fixed point: an optimal equator stays exact
+            break
+        for length in 2.0 ** np.arange(50):  # |move| > 1e-12: 2^50 points along move
+            trial = start + length * move
+            if not evaluate(trial / np.linalg.norm(trial)):
+                break
+        if best[2] is start:  # the step did not raise the value
+            break
+    direction = np.insert(best[2], 1, 0.0) if commutes else best[2]
+    best_val, best_eta, best_obs = best[0], best[1], uniform_observable(direction, n)
 
     if rho.purity > 1.0 - PURITY_PURE_TOL:
         candidate = _vcm_of(vecs[:, -1], n).principal_observable()

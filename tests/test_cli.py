@@ -62,6 +62,20 @@ def test_convert_parity_violation_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lines", [
+    ("h = 1e308", "betah = 1"),  # the eigensolve does not converge
+    ("jx = 1e200", "beta = 1"),  # the energy variance overflows to nan
+])
+def test_convert_numerical_failure_is_a_broken_invariant(tmp_path, capsys, lines):
+    cfg = ini(tmp_path, "c.ini", "[convert]", "n = 4", *lines, "m = 0")
+    out = tmp_path / "row.csv"
+    assert main(["convert", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.exists()
+
+
 def test_convert_ground_state_row(tmp_path, capsys):
     cfg = ini(tmp_path, "g.ini", "[convert]", "n = 5", "ground = true", "m = 5")
     out = str(tmp_path / "g.csv")

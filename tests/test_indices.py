@@ -682,8 +682,24 @@ _NON_COMMUTING = {
     "cat_plus_6": (lambda: fixture_states("cat_plus", 6), 71.99999999999996),
     "psi2_6": (lambda: fixture_states("psi2", 6), 44.893309284648495),
 }
-_INTERVAL = (lambda: _ring_post(OutcomeSpec.interval(-2, 2)), 28.40958345999507)
-_SPHERE_VALUES = {**_COMMUTING, **_NON_COMMUTING, "interval": _INTERVAL}
+# the search's value, which the dense optimal catness at its a_used confirms
+_INTERVAL = (lambda: _ring_post(OutcomeSpec.interval(-2, 2)), 28.40958346002633)
+
+
+def _random_state(n, rank, seed):
+    return as_state(denseref.random_density_matrix(n, np.random.default_rng(seed), rank))
+
+
+# random full-rank and rank-2 states, where the ascent needs its step doubling
+# to finish in few steps, each pinned with a full-sphere search's value; the
+# ascent exceeds them by up to 1.6e-11 relative
+_RANDOM = {
+    "random_5_full": (lambda: _random_state(5, None, 1), 5.638138010777471),
+    "random_6_full": (lambda: _random_state(6, None, 2), 6.539226779834621),
+    "random_5_rank2": (lambda: _random_state(5, 2, 3), 15.65851818151695),
+    "random_6_rank2": (lambda: _random_state(6, 2, 4), 19.199322402112745),
+}
+_SPHERE_VALUES = {**_COMMUTING, **_NON_COMMUTING, **_RANDOM, "interval": _INTERVAL}
 
 
 def _dense_polar_scan(rho, n):
@@ -749,7 +765,11 @@ def test_interval_post_state_keeps_the_sphere_search_on_real_factors():
     _, vecs = rho.factors()
     assert not _commutes_with_mz(rho)  # the window [-2, 2] holds three M_z sectors
     assert vecs.dtype == np.float64
-    assert observable_search(rho).c_value == pytest.approx(sphere, rel=1e-12)
+    report = observable_search(rho)
+    assert report.c_value == pytest.approx(sphere, rel=1e-12)
+    amat = sum(c * denseref.magnetization(axis, rho.n)
+               for c, axis in zip(report.a_used.site_coeffs[0], "xyz"))
+    assert report.c_value == pytest.approx(denseref.optimal_catness(rho.mat, amat), rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [0, 6])
@@ -781,6 +801,26 @@ def test_polar_search_reports_an_optimal_equator_exactly(name):
     for resolution in (2, 3, indices.SEARCH_RESOLUTION):
         report = observable_search(rho, resolution=resolution)
         assert report.a_used.site_coeffs[0].tolist() == [1.0, 0.0, 0.0], resolution
+
+
+_ASCENT_FORMS = {
+    "post_m0": (_COMMUTING["post_m0"][0], "xz"),
+    "rho_ex1_6": (_NON_COMMUTING["rho_ex1_6"][0], "xyz"),
+    "random_5_rank3": (lambda: _random_state(5, 3, 5), "xyz"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ASCENT_FORMS))
+def test_ascent_step_never_lowers_the_value(name):
+    make, axes = _ASCENT_FORMS[name]
+    rho = make()
+    form = _catness_form(*rho.factors(), [total_magnetization(a, rho.n) for a in axes])
+    for c in np.random.default_rng(17).standard_normal((20, len(axes))):
+        before = form.value(c)[0]
+        assert form.value(form.step(c))[0] >= before - 1e-12 * (1.0 + before)
+    # the search stops where the step no longer moves the direction
+    c = observable_search(rho).a_used.site_coeffs[0][["xyz".index(a) for a in axes]]
+    assert np.abs(form.step(c) - c).max() <= 1e-6
 
 
 @pytest.mark.parametrize("resolution", [2, 3, 64, 312])
