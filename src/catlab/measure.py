@@ -14,8 +14,7 @@ from .errors import ContractViolationError, DomainError, ImpossibleOutcomeError
 from .indices import expect_c
 from .spincore import (FactoredState, PauliTerms, QuantumState,
                        _check_cap, _check_outcome_parity, _window_mask,
-                       mz_interval_projector, mz_projector, mz_values,
-                       total_magnetization)
+                       mz_projector, mz_values, total_magnetization)
 
 PROB_FLOOR = 1e-14
 
@@ -53,10 +52,8 @@ class OutcomeSpec:
         return self.kind == "exact"
 
     def projector(self, n: int) -> PauliTerms:
-        """The outcome's projector, a PauliTerms with one diagonal term."""
-        if self.is_exact:
-            return mz_projector(n, self.m_lo)
-        return mz_interval_projector(n, self.m_lo, self.m_hi)
+        """The outcome's projector: a PauliTerms whose one term is mask()."""
+        return PauliTerms(_check_cap(n), {0: self.mask(n).astype(float)})
 
     def mask(self, n: int) -> np.ndarray:
         """Boolean basis-state mask of the projected subspace."""
@@ -74,15 +71,12 @@ class OutcomeDistribution:
 
 
 def outcome_distribution(rho: QuantumState) -> OutcomeDistribution:
-    """Probabilities of every parity-valid magnetization outcome."""
+    """Probabilities of every parity-valid magnetization outcome, the
+    clipped diagonal binned by (M_z + n) / 2 in one pass."""
     n = rho.n
-    vals = mz_values(n)
     diag = np.clip(np.real(rho.diagonal()), 0.0, None)
-    support = np.arange(-n, n + 1, 2)
-    probs = np.zeros(support.size)
-    for k, m in enumerate(support):
-        probs[k] = diag[vals == m].sum()
-    return OutcomeDistribution(support, probs)
+    probs = np.bincount((mz_values(n) + n) // 2, weights=diag, minlength=n + 1)
+    return OutcomeDistribution(np.arange(-n, n + 1, 2), probs)
 
 
 def outcome_probability(rho: QuantumState, spec: OutcomeSpec) -> float:
@@ -93,9 +87,9 @@ def outcome_probability(rho: QuantumState, spec: OutcomeSpec) -> float:
 
 def post_state(rho: QuantumState, spec: OutcomeSpec) -> QuantumState:
     """P rho P / Tr[P rho P] for the outcome's projector, kept as rho.project
-    decides: a SpectralState when rho is one and its group leaves the window
-    invariant (a window symmetric about 0 on a ring or an open chain), else a
-    WindowState."""
+    decides. A SpectralState narrows to the orbits that the window touches,
+    and stays one when its group leaves the window invariant (symmetric
+    about 0); every other result is a WindowState."""
     mask = spec.mask(rho.n)
     prob = outcome_probability(rho, spec)
     if prob <= PROB_FLOOR:

@@ -29,19 +29,19 @@ the bit-operation kernel with no dense matrix. Every entry of a state is
 read through QuantumState.entries(rows, cols), and a kernel trace reads only
 the rows in support(). A state built from such a spectrum (SpectralState)
 keeps its group, eigenvectors and weights. A measurement goes through one
-method, QuantumState.project: a window that the group leaves invariant
-(symmetric about 0) keeps the SpectralState, its support narrowed to the
-window's orbits (an orbit mask), and its diagonal, purity and the traces of
-invariant sums (expect, catness) are read per character from those factors
-and the blocks of the sums (_character_blocks). Any other projection
-(WindowState) keeps its block on the measured window; a pure state or a
-low-rank mixture (FactoredState) keeps its orthonormal columns and weights.
-Other reads of a SpectralState gather entries from a table over the orbits
-of its support, the character sum of the same per-character blocks. All
-three gather their dense view through entries(), on request only. Every state gives its factors rho = V diag(w) V^dagger
-through factors(): a FactoredState its own columns, any other state an
-eigensolve of its support block. A magnetization projector is a PauliTerms
-with one diagonal term.
+method, QuantumState.project. A SpectralState first narrows its support to
+the orbits that the window touches (an orbit mask). A window that the group
+leaves invariant (symmetric about 0) keeps that state, whose diagonal,
+purity and traces of invariant sums (expect, catness) are read per character
+from its factors and the blocks of the sums (_character_blocks). Any other
+window keeps the narrowed state's block on it (WindowState); a pure state or
+a low-rank mixture (FactoredState) keeps its orthonormal columns and
+weights. Other reads of a SpectralState gather entries from a table over the
+orbits of its support, the character sum of the same per-character blocks.
+All three gather their dense view through entries(), on request only. Every
+state gives its factors rho = V diag(w) V^dagger through factors(): a
+FactoredState its own columns, any other state an eigensolve of its support
+block. A magnetization projector is a PauliTerms with one diagonal term.
 
 Basis convention, shared by all modules: computational z basis, ordered
 lexicographically with site 1 as the most significant tensor factor, and
@@ -509,7 +509,7 @@ def mz_projector(n: int, m: int) -> PauliTerms:
     """Projector onto the total-magnetization sector M_z = m, as its diagonal."""
     _check_cap(n)
     _check_outcome_parity(n, m)
-    return PauliTerms(n, {0: _window_mask(n, m, m).astype(float)})
+    return mz_interval_projector(n, m, m)
 
 
 def mz_interval_projector(n: int, m_lo: int, m_hi: int) -> PauliTerms:
@@ -683,10 +683,13 @@ def symmetry_eigh(terms: PauliTerms, translation: bool
     """
     n = _check_cap(terms.n)
     group = _symmetry_group(n, bool(translation))
-    blocks = _character_blocks(group, terms, np.arange(group.reps.size))
-    # the padding sits above |H| <= sum of the term norms, so it sorts last
     c, i = np.nonzero(~group.held)
-    blocks[c, i, i] = 1.0 + np.sum([np.abs(a).max() for a in terms.flips.values()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _character_blocks(group, terms, np.arange(group.reps.size))
+        # the padding sits above |H| <= sum of the term norms, so it sorts last
+        blocks[c, i, i] = 1.0 + np.sum([np.abs(a).max() for a in terms.flips.values()])
+    if not np.isfinite(blocks).all():
+        raise ContractViolationError(f"symmetry blocks overflow at n={n}")
     w, u = np.linalg.eigh(blocks)
     u[c, i] = 0.0
     return group, w, u
@@ -698,11 +701,10 @@ class SpectralState(QuantumState):
     eigenvector: the sum of weights[c, j] |v><v| over the eigenvectors v,
     each row of u counted group.mult[c] times. The weights are >= 0 and zero
     on the padding. Its support is the orbits where the mask inside is set
-    (every orbit unless given). A projection onto a window that the group
-    leaves invariant keeps this form (project): it shares u with the state
-    it was projected from, narrows inside to the window's orbits, whose
-    complement reads as zero, and scales the weights, so they are no longer
-    the eigenvalues.
+    (every orbit unless given). A projection (project) keeps this form on
+    the orbits that its window touches: it shares u with the state it was
+    projected from, narrows inside to those orbits, whose complement reads
+    as zero, and scales the weights, so they are no longer the eigenvalues.
 
     It commutes with the group. The diagonal, the purity and the traces of
     Pauli sums that commute with the group (expect, catness) are read per
@@ -737,13 +739,14 @@ class SpectralState(QuantumState):
         return np.flatnonzero(self.inside[self.group.rep_index])
 
     def project(self, mask: np.ndarray, scale: float = 1.0) -> QuantumState:
-        """scale * P rho P; a SpectralState on the same group when P commutes
-        with it (mask constant on every orbit), else a WindowState."""
+        """scale * P rho P, first narrowed to the orbits that the window
+        touches: that SpectralState when P commutes with the group (mask
+        constant on every orbit), else its WindowState on the mask."""
         group, mask = self.group, np.asarray(mask, dtype=bool)
-        inside = mask[group.reps]
-        if not np.array_equal(inside[group.rep_index], mask):
-            return super().project(mask, scale)
-        return SpectralState(group, self.u, self.weights * scale, self.inside & inside)
+        hull = np.bincount(group.rep_index, weights=mask, minlength=group.reps.size) > 0
+        narrowed = SpectralState(group, self.u, self.weights * scale, self.inside & hull)
+        kept = np.array_equal(hull[group.rep_index], mask)
+        return narrowed if kept else WindowState(narrowed, mask)
 
     @cached_property
     def _window(self) -> tuple[np.ndarray, np.ndarray]:

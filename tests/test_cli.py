@@ -62,9 +62,9 @@ def test_convert_parity_violation_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lines", [
-    ("h = 1e308", "betah = 1"),  # the eigensolve does not converge
+    ("h = 1e308", "betah = 1"),  # the symmetry blocks overflow
     ("jx = 1e200", "beta = 1"),  # the energy variance overflows to nan
 ])
 def test_convert_numerical_failure_is_a_broken_invariant(tmp_path, capsys, lines):

@@ -837,7 +837,7 @@ def test_polar_search_evaluation_count(monkeypatch, resolution):
     observable_search(_COMMUTING["post_m0"][0](), resolution=resolution)
     assert len(calls) <= math.ceil(resolution / 2) + 50
     # no direction is evaluated twice: not the odd grid's z = 0, which is the
-    # equator, nor the polish's first vertex, which is the best direction
+    # equator, nor the ascent's start, which is the best grid direction
     assert len({np.asarray(c).tobytes() for c in calls}) == len(calls)
 
 

@@ -107,6 +107,10 @@ def test_outcome_parity_is_enforced():
     rho = free_gibbs(4, 0.5)
     with pytest.raises(InvalidOutcomeError):
         outcome_probability(rho, OutcomeSpec.exact(3))
+    with pytest.raises(InvalidOutcomeError):
+        OutcomeSpec.exact(1).projector(4)
+    with pytest.raises(InvalidOutcomeError):
+        OutcomeSpec.interval(3, 1).projector(4)
 
 
 @settings(deadline=None, max_examples=25)
@@ -479,3 +483,34 @@ def test_ground_row_reads_its_blocks(monkeypatch, boundary):
     _, rho, post = _row_reads(monkeypatch, ham, ground_state(ham))
     for state in (rho, post):
         assert "mat" not in vars(state) and "_table" not in vars(state)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_every_window_narrows_before_it_reads(monkeypatch, boundary):
+    # every window reads the state narrowed to the orbits it touches, so no
+    # table of every orbit of the unmeasured state is built
+    ham = SpinHamiltonian(n=8, h=0.7, j=_J, boundary=boundary)
+    made = []
+
+    def keep(state, spec):
+        made.append(post_state(state, spec))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "post_state", keep)
+    for rho in (gibbs_state(ham, 0.9), ground_state(ham)):
+        for spec in (OutcomeSpec.exact(0), OutcomeSpec.exact(2),
+                     OutcomeSpec.interval(-2, 2), OutcomeSpec.interval(2, 6)):
+            outcome_probability(rho, spec)
+            cli._dense_columns(ham, rho, spec)
+            assert "_table" not in vars(rho)
+            assert isinstance(made[-1], SpectralState) == (spec.m_lo == -spec.m_hi)
+
+
+def test_asymmetric_cap_row_reads_in_under_sixteen_mib():
+    # a table of every orbit of the Gibbs state alone puts this row at 25 MiB
+    ham = SpinHamiltonian(n=12, h=1.0, j=(0.2, 0.0, 0.1))
+    rho, spec = gibbs_state(ham, 1.0), OutcomeSpec.exact(2)
+    peak = _peak_bytes(lambda: (outcome_probability(rho, spec),
+                                cli._dense_columns(ham, rho, spec)))
+    assert peak < 4**12
+    assert "_table" not in vars(rho)
