@@ -21,10 +21,10 @@ from .config import MODES, ExperimentConfig, load_config
 from .errors import (CapacityError, CatlabError, ContractViolationError,
                      DomainError, ImpossibleOutcomeError, InvalidOutcomeError,
                      UsageError)
-from .indices import (CatnessReport, VcmMatrix, c_closed_form_free, expect_c,
-                      fit_exponent, fixture_states, i_function,
-                      interval_c_closed, interval_r_count, observable_search,
-                      optimal_witness, q_functional, vcm, witness_w)
+from .indices import (CatnessReport, VcmMatrix, expect_c, fit_exponent,
+                      fixture_states, i_function, interval_c_closed,
+                      interval_r_count, observable_search, optimal_witness,
+                      q_functional, vcm, witness_w)
 from .measure import (OutcomeDistribution, OutcomeSpec, double_projection_c,
                       double_projection_dense, outcome_distribution,
                       outcome_probability, post_state, sample_outcomes)
@@ -38,9 +38,8 @@ from .spincore import (DENSE_CAP, AdditiveObservable, FactoredState,
                        pauli_site, pauli_terms, pure_state, snap_interval,
                        symmetry_eigh, total_magnetization, uniform_observable)
 from .thermal import (BOUNDARIES, SpinHamiltonian, gibbs_state, ground_state,
-                      log_free_partition_eq, log_free_partition_post,
-                      log_interval_partition_post, sector_zz_mean,
-                      sector_zz_sq_mean, xyz_c_expansion,
+                      log_free_partition_eq, log_interval_partition_post,
+                      sector_zz_mean, sector_zz_sq_mean, xyz_c_expansion,
                       xyz_c_expansion_jperp, zpost_xyz_expansion)
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .indices import (_catness_form, c_closed_form_free, expect_c,
-                      fit_exponent)
+from .indices import (_catness_form, expect_c, fit_exponent,
+                      interval_c_closed)
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state)
 from .spincore import (QuantumState, _bit_table, _herm_eigh,
@@ -55,7 +55,7 @@ def energy_moments_free_closed(n: int, m: int, betah: float, h: float) -> Energy
     no matrix elements inside a longitudinal sector; the variance is the
     field-squared times the post-measurement second transverse moment.
     """
-    mx2 = c_closed_form_free(n, m, betah) / 2
+    mx2 = interval_c_closed(n, m, m, betah) / 2
     return EnergyMoments(mean=0.0, variance=h * h * mx2)
 
 

@@ -22,13 +22,11 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .analysis import (FeasibilityInput, energy_moments_dense,
-                       energy_moments_free_closed, feasibility_calc,
-                       purity_bound_free)
+                       feasibility_calc, purity_bound_free)
 from .config import MODES, ExperimentConfig, load_config
 from .errors import CapacityError, ContractViolationError, UsageError
-from .indices import (c_closed_form_free, expect_c, fit_exponent,
-                      fixture_states, i_function, interval_c_closed,
-                      observable_search)
+from .indices import (expect_c, fit_exponent, fixture_states, i_function,
+                      interval_c_closed, observable_search)
 from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state, sample_outcomes)
 from .oracle import run_families
@@ -37,8 +35,7 @@ from .records import (CSV_COLUMNS, append_jsonl, mix_seed, new_row, read_csv,
 from .spincore import (DENSE_CAP, _check_cap, snap_interval,
                        total_magnetization)
 from .thermal import (SpinHamiltonian, gibbs_state, ground_state,
-                      log_free_partition_eq, log_free_partition_post,
-                      log_interval_partition_post)
+                      log_free_partition_eq, log_interval_partition_post)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,27 +122,26 @@ def _dense_columns(ham: SpinHamiltonian, rho, spec: OutcomeSpec) -> dict:
     return cols
 
 
-def _measured_row(cfg: ExperimentConfig, state, lo: int, hi: int,
+def _measured_row(cfg: ExperimentConfig, n: int, state, lo: int, hi: int,
                   start: float) -> dict:
-    """One fully diagnosed record: project the built (ham, rho), then every
-    per-outcome scalar; wall_ms counts from start."""
-    ham, rho = state
-    n = ham.n
+    """One record of the snapped window [lo, hi] (lo == hi: an exact outcome);
+    wall_ms counts from start. A built (ham, rho) gives prob and the dense
+    columns; state None, the free closed-form prob. A free chain also gets
+    c_closed, and purity_bound when thermal."""
     betah = math.inf if cfg.ground else cfg.beta * cfg.h
-    spec = OutcomeSpec.exact(lo) if lo == hi else OutcomeSpec.interval(lo, hi)
     row = new_row()
-    row.update(
-        n=n, m_lo=lo, m_hi=hi,
-        beta=None if cfg.ground else cfg.beta,
-        h=cfg.h, jx=cfg.j[0], jy=cfg.j[1], jz=cfg.j[2],
-        prob=outcome_probability(rho, spec),
-        i_value=i_function(n, lo, hi),
-        seed=cfg.seed,
-        **_dense_columns(ham, rho, spec),
-    )
-    if ham.is_free:
-        row["c_closed"] = (c_closed_form_free(n, lo, betah) if lo == hi
-                           else interval_c_closed(n, lo, hi, betah))
+    row.update(n=n, m_lo=lo, m_hi=hi, beta=None if cfg.ground else cfg.beta,
+               h=cfg.h, jx=cfg.j[0], jy=cfg.j[1], jz=cfg.j[2],
+               i_value=i_function(n, lo, hi), seed=cfg.seed)
+    if state is None:
+        row["prob"] = math.exp(log_interval_partition_post(n, lo, hi, betah)
+                               - log_free_partition_eq(n, betah))
+    else:
+        ham, rho = state
+        spec = OutcomeSpec.interval(lo, hi)
+        row.update(_dense_columns(ham, rho, spec), prob=outcome_probability(rho, spec))
+    if not any(cfg.j):
+        row["c_closed"] = interval_c_closed(n, lo, hi, betah)
         if not cfg.ground:
             row["purity_bound"] = purity_bound_free(n, lo, hi, betah)
     row["wall_ms"] = (time.perf_counter() - start) * 1e3
@@ -154,11 +150,9 @@ def _measured_row(cfg: ExperimentConfig, state, lo: int, hi: int,
 
 def run_convert(cfg: ExperimentConfig, args) -> int:
     n = cfg.n
-    if cfg.outcome == "exact":
-        windows = [(cfg.m, cfg.m, cfg.seed)]
-    elif cfg.outcome == "interval":
-        lo, hi = snap_interval(n, cfg.m_lo, cfg.m_hi)
-        windows = [(lo, hi, cfg.seed)]
+    if cfg.outcome != "sampled":
+        raw = (cfg.m, cfg.m) if cfg.outcome == "exact" else (cfg.m_lo, cfg.m_hi)
+        windows = [(*snap_interval(n, *raw), cfg.seed)]
     start = time.perf_counter()
     state = _build_state(cfg, n)
     if cfg.outcome == "sampled":
@@ -170,7 +164,7 @@ def run_convert(cfg: ExperimentConfig, args) -> int:
     for index, (lo, hi, record_seed) in enumerate(windows):
         if (lo, hi) not in cache:
             # the shared build is charged to the first row
-            cache[(lo, hi)] = _measured_row(cfg, state, lo, hi, start)
+            cache[(lo, hi)] = _measured_row(cfg, n, state, lo, hi, start)
             start = time.perf_counter()
         row = dict(cache[(lo, hi)])
         row["seed"] = record_seed
@@ -185,7 +179,7 @@ def _sweep_row(payload) -> dict:
     cfg, n = payload
     start = time.perf_counter()
     if cfg.source == "gibbs":
-        return _measured_row(cfg, _build_state(cfg, n), cfg.m, cfg.m, start)
+        return _measured_row(cfg, n, _build_state(cfg, n), cfg.m, cfg.m, start)
     rho = fixture_states(cfg.source, n)
     report = observable_search(rho, resolution=cfg.resolution)
     row = new_row()
@@ -215,28 +209,11 @@ def run_sweep(cfg: ExperimentConfig, args) -> int:
 
 def run_interval(cfg: ExperimentConfig, args) -> int:
     n = cfg.n
-    betah = cfg.beta * cfg.h
-    dense_ctx = None
-    if n <= DENSE_CAP:
-        ham = SpinHamiltonian(n=n, h=cfg.h)
-        dense_ctx = (ham, gibbs_state(ham, cfg.beta))
+    state = _build_state(cfg, n) if n <= DENSE_CAP else None
     rows = []
     for raw_lo, raw_hi in cfg.intervals:
-        start = time.perf_counter()
         lo, hi = snap_interval(n, raw_lo, raw_hi)
-        row = new_row()
-        row.update(
-            n=n, m_lo=lo, m_hi=hi, beta=cfg.beta, h=cfg.h,
-            jx=0.0, jy=0.0, jz=0.0,
-            prob=math.exp(log_interval_partition_post(n, lo, hi, betah)
-                          - log_free_partition_eq(n, betah)),
-            c_closed=interval_c_closed(n, lo, hi, betah),
-            i_value=i_function(n, lo, hi),
-            purity_bound=purity_bound_free(n, lo, hi, betah),
-        )
-        if dense_ctx is not None:
-            row.update(_dense_columns(*dense_ctx, OutcomeSpec.interval(lo, hi)))
-        row["wall_ms"] = (time.perf_counter() - start) * 1e3
+        row = _measured_row(cfg, n, state, lo, hi, time.perf_counter())
         rows.append(row)
         print(f"window [{lo},{hi}]: prob={row['prob']:.6g} "
               f"c_closed={row['c_closed']:.6g}", file=sys.stderr)
@@ -270,22 +247,17 @@ def run_fit(cfg: ExperimentConfig, args) -> int:
 
 def run_verify(cfg: ExperimentConfig, args) -> int:
     _no_rows(args, "verify")
-    n, m, h = cfg.n, cfg.m, cfg.h
-    betah = cfg.beta * h
-    row = _measured_row(cfg, _build_state(cfg, n), m, m, time.perf_counter())
-    closed = energy_moments_free_closed(n, m, betah, h)
-
+    n, m, start = cfg.n, cfg.m, time.perf_counter()
+    row = _measured_row(cfg, n, _build_state(cfg, n), m, m, start)
+    closed = _measured_row(cfg, n, None, m, m, start)
+    c_closed = closed["c_closed"]
     checks = [
-        ("sector_probability", row["prob"],
-         math.exp(log_free_partition_post(n, m, betah)
-                  - log_free_partition_eq(n, betah)), 1e-10),
-        ("catness_value", row["c_dense"], c_closed_form_free(n, m, betah), 1e-10),
+        ("sector_probability", row["prob"], closed["prob"], 1e-10),
+        ("catness_value", row["c_dense"], c_closed, 1e-10),
         ("energy_mean", row["e_mean"], 0.0, 1e-11),
-        ("energy_variance", row["e_var"], closed.variance, 1e-10),
-        ("transverse_second_moment", row["mx2"],
-         c_closed_form_free(n, m, betah) / 2, 1e-10),
-        ("purity_bound", min(purity_bound_free(n, m, m, betah) - row["purity"], 0.0),
-         0.0, 1e-12),
+        ("energy_variance", row["e_var"], cfg.h * cfg.h * c_closed / 2, 1e-10),
+        ("transverse_second_moment", row["mx2"], c_closed / 2, 1e-10),
+        ("purity_bound", min(closed["purity_bound"] - row["purity"], 0.0), 0.0, 1e-12),
     ]
     failed = 0
     for name, got, want, tol in checks:

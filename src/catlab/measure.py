@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError, ImpossibleOutcomeError
-from .indices import expect_c
+from .indices import _window_c, expect_c
 from .spincore import (FactoredState, PauliTerms, QuantumState,
                        _check_cap, _check_outcome_parity, _window_mask,
                        mz_projector, mz_values, total_magnetization)
@@ -149,14 +149,15 @@ def sample_outcomes(dist: OutcomeDistribution, seeds: int | np.ndarray):
 def double_projection_c(n: int, m_x: int, m_z: int) -> float:
     """Closed-form <C> after measuring M_x = m_x and then M_z = m_z.
 
-    Starting from the maximally mixed state the two projections leave
-    2n + (n^2 - m_z^2)(m_x^2 - n) / (n (n - 1)).
+    The maximally mixed state projected to M_x = m_x is diagonal in the x
+    basis with <Mx^2> = m_x^2, so this is the point window [m_z, m_z] of
+    _window_c: 2n + (n^2 - m_z^2)(m_x^2 - n) / (n (n - 1)).
     """
     if n < 2:
         raise DomainError("two projections need at least two spins")
     _check_outcome_parity(n, m_x)
     _check_outcome_parity(n, m_z)
-    return 2.0 * n + (n * n - m_z * m_z) * (m_x * m_x - n) / (n * (n - 1.0))
+    return _window_c(n, m_z, m_z, (m_x * m_x - n) / (n * (n - 1.0)))
 
 
 def double_projection_dense(n: int, m_x: int, m_z: int) -> float:

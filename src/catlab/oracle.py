@@ -21,9 +21,9 @@ from .analysis import (FeasibilityInput, averaged_identity_check,
                        time_evolution_invariance, transverse_moments)
 from .errors import (CatlabError, ContractViolationError, DomainError,
                      ImpossibleOutcomeError, InvalidOutcomeError, UsageError)
-from .indices import (c_closed_form_free, expect_c, fit_exponent,
-                      fixture_states, i_function, interval_c_closed,
-                      optimal_witness, q_functional, vcm, witness_w)
+from .indices import (expect_c, fit_exponent, fixture_states, i_function,
+                      interval_c_closed, optimal_witness, q_functional, vcm,
+                      witness_w)
 from .measure import (OutcomeSpec, double_projection_c, double_projection_dense,
                       outcome_distribution, outcome_probability, post_state,
                       sample_outcomes)
@@ -33,9 +33,9 @@ from .spincore import (QuantumState, additive_observable, herm_expm,
                        pauli_site, pure_state, snap_interval,
                        total_magnetization, uniform_observable)
 from .thermal import (SpinHamiltonian, _logsumexp, gibbs_state,
-                      log_free_partition_eq, log_free_partition_post,
-                      log_interval_partition_post, xyz_c_expansion,
-                      xyz_c_expansion_jperp, zpost_xyz_expansion)
+                      log_free_partition_eq, log_interval_partition_post,
+                      xyz_c_expansion, xyz_c_expansion_jperp,
+                      zpost_xyz_expansion)
 
 
 @dataclass(frozen=True)
@@ -188,13 +188,13 @@ def _fam_partition_free(max_n: int, rng, ck: _Collector) -> None:
         for m in (n, n - 2):
             p = mz_projector(n, m).dense()
             ck.close(f"sector weight n={n} m={m}", float(np.trace(p @ ebh).real),
-                     math.exp(log_free_partition_post(n, m, beta * h)), 1e-10)
+                     math.exp(log_interval_partition_post(n, m, m, beta * h)), 1e-10)
         win = mz_interval_projector(n, -n, 0).dense()
         ck.close(f"window weight n={n}", float(np.trace(win @ ebh).real),
                  math.exp(log_interval_partition_post(n, -n, 0, beta * h)), 1e-10)
     big = 1000
-    logs = [log_free_partition_post(big, m, beta * h) - log_free_partition_eq(big, beta * h)
-            for m in range(-big, big + 1, 2)]
+    logs = [log_interval_partition_post(big, m, m, beta * h)
+            - log_free_partition_eq(big, beta * h) for m in range(-big, big + 1, 2)]
     ck.ok("outcome probabilities sum to one at n=1000",
           abs(_logsumexp(logs)) <= 1e-12)
 
@@ -205,7 +205,7 @@ def _fam_closed_form_c(max_n: int, rng, ck: _Collector) -> None:
             for m in range(-n, n + 1, 2):
                 ck.close(f"point catness n={n} m={m} betah={betah}",
                          _dense_point_c(n, m, betah),
-                         c_closed_form_free(n, m, betah), 1e-10)
+                         interval_c_closed(n, m, m, betah), 1e-10)
 
 
 def _fam_post_state_props(max_n: int, rng, ck: _Collector) -> None:
@@ -282,7 +282,7 @@ def _fam_interval_machinery(max_n: int, rng, ck: _Collector) -> None:
                           - log_free_partition_eq(n, betah)), 1e-10)
     ck.ok("full window has zero resolution factor", i_function(n, -n, n) == 0.0)
     ck.close("collapsed window equals the point closed form",
-             interval_c_closed(n, 0, 0, betah), c_closed_form_free(n, 0, betah), 1e-12)
+             interval_c_closed(n, 0, 0, betah), 2 * n + n * n * math.tanh(betah) ** 2, 1e-12)
 
 
 def _fam_xyz_expansion(max_n: int, rng, ck: _Collector) -> None:
@@ -493,7 +493,7 @@ def _fam_sufficiency(max_n: int, rng, ck: _Collector) -> None:
           max(rep.condition_residuals) <= 1e-10)
     for m, ratio in zip(rep.outcomes, rep.second_moment_ratios):
         ck.close(f"projected second moment at m={m:g}", ratio,
-                 c_closed_form_free(n, m, betah) / 2, 1e-10)
+                 interval_c_closed(n, m, m, betah) / 2, 1e-10)
     aligned = np.zeros(1 << n, dtype=complex)
     aligned[-1] = 1.0
     rep = sufficient_conditions_check(total_magnetization("x", n),

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .spincore import (PauliTerms, QuantumState, SpectralState, _bit_table,
-                       _check_cap, _check_outcome_parity, mz_values,
-                       pauli_terms, snap_interval, symmetry_eigh)
+from .spincore import (PauliTerms, QuantumState, SpectralState, _check_cap,
+                       _check_outcome_parity, pauli_terms, snap_interval,
+                       symmetry_eigh)
 
 BOUNDARIES = ("periodic", "open")
 
@@ -139,14 +139,9 @@ def interval_r_count(n: int, a: int, b: int) -> float:
     return _logsumexp(lb)
 
 
-def log_free_partition_post(n: int, m: int, betah: float) -> float:
-    """ln of binom(n, (n+m)/2) cosh^n(beta h), the post-measurement weight."""
-    _check_outcome_parity(n, m)
-    return log_interval_partition_post(n, m, m, betah)
-
-
 def log_interval_partition_post(n: int, m_lo: int, m_hi: int, betah: float) -> float:
-    """Log-domain sum of the post weights over a magnetization window."""
+    """Log-domain sum of the post weights over a magnetization window; for
+    a point window [m, m] it is ln binom(n, (n+m)/2) cosh^n(beta h)."""
     return interval_r_count(n, m_lo, m_hi) + n * _log_cosh(betah)
 
 
@@ -180,45 +175,50 @@ def xyz_c_expansion_jperp(n: int, m: int, beta: float, h: float,
                           j_x: float, j_perp: float) -> float:
     """Variant of the expansion for Jy = Jz, exact in beta*h.
 
-    The field part is resummed into tanh^2, so only the couplings are
-    perturbative; at strong fields this tracks the dense value much closer
-    than the symmetric expansion.
+    The field part is resummed into the free closed form, so only the
+    couplings are perturbative; at strong fields this tracks the dense
+    value much closer than the symmetric expansion.
     """
+    from .indices import interval_c_closed  # indices imports this module
     _expansion_domain(n, m)
     jx, jp = float(j_x), float(j_perp)
     n2m2 = float(n * n - m * m)
-    t = math.tanh(beta * h)
     lin = 2.0 * beta * (jx + jp) * n2m2 / (n - 1)
     quad = 2.0 * beta * beta * n2m2 * (
         jx * jx / (n - 1)
         + jx * jp * (m * m - n * n + 4 * n - 4) / ((n - 1) ** 2 * (n - 2))
         + jp * (m * m + n - 2) / ((n - 1) ** 2 * (n - 2))
     )
-    return 2.0 * n + n2m2 * t * t + lin + quad
+    return interval_c_closed(n, m, m, beta * h) + lin + quad
 
 
 def sector_zz_mean(n: int, m: int) -> float:
-    """Average of sum_i sz_i sz_{i+1} (periodic) over the M_z = m sector."""
+    """Average of sum_i sz_i sz_{i+1} (periodic, so sz_1^2 = 1 at n = 1)
+    over the M_z = m sector."""
     _check_outcome_parity(n, m)
     if n < 2:
-        return 0.0
+        return 1.0
     return (m * m - n) / (n - 1)
 
 
 def sector_zz_sq_mean(n: int, m: int) -> float:
-    """Average of (sum_i sz_i sz_{i+1})^2 over the M_z = m sector, exact."""
+    """Average of (sum_i sz_i sz_{i+1})^2 (periodic) over the M_z = m sector:
+    a sum of 2-, 3- and 4-site sector correlations, rational in n and m. At
+    n <= 2 every periodic sum is +-n."""
     _check_outcome_parity(n, m)
-    z = _bit_table(n)[1][:, mz_values(n) == m]
-    e = (z * np.roll(z, -1, axis=0)).sum(axis=0)
-    return float((e * e).mean())
+    if n < 3:
+        return float(n * n)
+    m2 = m * m
+    return (n + 2.0 * (m2 - n) / (n - 1)
+            + (m2 * m2 - 6 * m2 * n + 8 * m2 + 3 * n * n - 6 * n) / ((n - 1) * (n - 2)))
 
 
 def zpost_xyz_expansion(n: int, m: int, beta: float, h: float, j) -> float:
     """Second-order expansion of the post-measurement partition weight.
 
-    Tr[P exp(-beta H) P] for the periodic XYZ ring, with the quadratic
-    zz term evaluated through the exact sector average rather than a
-    transcribed rational; used by the expansion-quality oracle.
+    Tr[P exp(-beta H) P] for the periodic XYZ ring, with the zz terms read
+    from the closed sector averages, so it runs at any n; used by the
+    expansion-quality oracle.
     """
     _expansion_domain(n, m)
     jx, jy, jz = (float(v) for v in j)

@@ -27,7 +27,6 @@ from catlab.analysis import (
 )
 from catlab.cli import main
 from catlab.indices import (
-    c_closed_form_free,
     fit_exponent,
     fixture_states,
     i_function,
@@ -45,7 +44,6 @@ from catlab.thermal import (
     SpinHamiltonian,
     gibbs_state,
     log_free_partition_eq,
-    log_free_partition_post,
     log_interval_partition_post,
     xyz_c_expansion,
 )
@@ -88,7 +86,7 @@ def test_criterion_01_closed_form_catness(capsys):
                 proj = denseref.sector_projector(n, m, m)
                 post, _ = denseref.project(rho, proj)
                 want = denseref.catness(post, mx, proj)
-                got = c_closed_form_free(n, m, betah)
+                got = interval_c_closed(n, m, m, betah)
                 worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
         elapsed = time.perf_counter() - start
     passed = worst <= REL_CLOSED and elapsed < 120.0
@@ -109,7 +107,7 @@ def test_criterion_02_log_partitions(capsys):
             for m in range(-n, n + 1, 2):
                 proj = denseref.sector_projector(n, m, m)
                 want = math.log(np.trace(proj @ weights @ proj).real)
-                worst = max(worst, abs(log_free_partition_post(n, m, betah) - want)
+                worst = max(worst, abs(log_interval_partition_post(n, m, m, betah) - want)
                             / max(abs(want), 1.0))
     norm_defect = 0.0
     for n in (100, 1000):
@@ -247,7 +245,7 @@ def test_criterion_07_witness_identities(capsys):
 
 
 def test_criterion_08_growth_exponents(capsys):
-    free_points = [(n, c_closed_form_free(n, 0, 1.0)) for n in (4, 6, 8, 10)]
+    free_points = [(n, interval_c_closed(n, 0, 0, 1.0)) for n in (4, 6, 8, 10)]
     q_free, _ = fit_exponent(free_points, floor=True)
     mix_points = [(n, observable_search(fixture_states("rho_ex2", n),
                                         resolution=64).c_value)

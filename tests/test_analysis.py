@@ -26,7 +26,7 @@ from catlab.analysis import (
     transverse_moments,
 )
 from catlab.errors import ContractViolationError, DomainError
-from catlab.indices import c_closed_form_free
+from catlab.indices import interval_c_closed
 from catlab.measure import OutcomeSpec, post_state
 from catlab.spincore import as_state, pure_state, total_magnetization
 from catlab.thermal import SpinHamiltonian, gibbs_state
@@ -91,7 +91,7 @@ def test_transverse_moments_match_catness():
     mx_mean, my_mean, mx2 = transverse_moments(post)
     assert mx_mean == pytest.approx(0.0, abs=1e-11)
     assert my_mean == pytest.approx(0.0, abs=1e-11)
-    assert 2.0 * mx2 == pytest.approx(c_closed_form_free(n, m, betah), rel=RTOL)
+    assert 2.0 * mx2 == pytest.approx(interval_c_closed(n, m, m, betah), rel=RTOL)
 
 
 def test_matching_equilibrium_beta_roundtrip():

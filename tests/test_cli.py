@@ -13,7 +13,7 @@ from catlab import cli
 from catlab.cli import main
 from catlab.config import _MODE_KEYS, MODES, ExperimentConfig, load_config
 from catlab.errors import UsageError
-from catlab.indices import c_closed_form_free
+from catlab.indices import interval_c_closed
 from catlab.records import read_csv
 
 
@@ -48,7 +48,7 @@ def test_convert_exact_row_contents(tmp_path, capsys):
     assert len(rows) == 1
     row = rows[0]
     assert (row["n"], row["m_lo"], row["m_hi"]) == (6, 0, 0)
-    assert row["c_closed"] == pytest.approx(c_closed_form_free(6, 0, 1.0), rel=1e-12)
+    assert row["c_closed"] == pytest.approx(interval_c_closed(6, 0, 0, 1.0), rel=1e-12)
     assert row["c_dense"] == pytest.approx(row["c_closed"], rel=1e-10)
     assert row["purity"] <= row["purity_bound"] + 1e-12
     assert row["e_mean"] == pytest.approx(0.0, abs=1e-11)
@@ -417,7 +417,7 @@ def test_sweep_runs_at_the_dense_cap(tmp_path, capsys):
     n, t2 = 12, math.tanh(1.0) ** 2
     mx2 = n + 0.5 * n * n * t2
     assert row["prob"] == pytest.approx(math.comb(n, n // 2) / 2.0**n, rel=1e-10)
-    assert row["c_dense"] == pytest.approx(c_closed_form_free(n, 0, 1.0), rel=1e-10)
+    assert row["c_dense"] == pytest.approx(interval_c_closed(n, 0, 0, 1.0), rel=1e-10)
     assert row["c_dense"] == pytest.approx(row["c_closed"], rel=1e-10)
     assert row["mx2"] == pytest.approx(mx2, rel=1e-10)
     assert row["e_var"] == pytest.approx(mx2, rel=1e-10)
@@ -513,6 +513,22 @@ def test_interval_auto_checks_dense_against_closed(tmp_path, capsys):
                                                abs=1e-9)
     full = read_csv(out)[3]
     assert full["c_closed"] == 0.0 and full["i_value"] == 0.0
+
+
+def test_interval_and_convert_write_one_window_row_alike(tmp_path, capsys):
+    # one row builder: the interval row reads its prob from the dense state,
+    # as a converted window does
+    runs = {"interval": ("intervals = 2:6",),
+            "convert": ("outcome = interval", "m_lo = 2", "m_hi = 6")}
+    texts = []
+    for mode, lines in runs.items():
+        cfg = ini(tmp_path, f"{mode}.ini", f"[{mode}]", "n = 8", "betah = 1.0", *lines)
+        out = tmp_path / f"{mode}.csv"
+        assert main([mode, "--config", cfg, "--out", str(out)]) == 0
+        texts.append(out.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+    assert len(texts[0].splitlines()) == 3
 
 
 def test_fit_mode_reads_back_sweep_output(tmp_path, capsys):

@@ -13,11 +13,11 @@ from scipy.special import comb
 
 import denseref
 from catlab import indices, spincore
-from catlab.errors import ContractViolationError, DomainError, ImpossibleOutcomeError
+from catlab.errors import (ContractViolationError, DomainError, ImpossibleOutcomeError,
+                           InvalidOutcomeError)
 from catlab.indices import (
     _catness_form,
     _commutes_with_mz,
-    c_closed_form_free,
     expect_c,
     fit_exponent,
     fixture_states,
@@ -59,19 +59,19 @@ def test_closed_form_matches_dense_catness():
         proj = denseref.sector_projector(n, m, m)
         mx = denseref.magnetization("x", n)
         want = denseref.catness(post.mat, mx, proj)
-        assert c_closed_form_free(n, m, betah) == pytest.approx(want, rel=RTOL)
+        assert interval_c_closed(n, m, m, betah) == pytest.approx(want, rel=RTOL)
 
 
 def test_closed_form_limits():
     # infinite temperature leaves only the flip-flop floor
-    assert c_closed_form_free(6, 2, 0.0) == pytest.approx(12.0, rel=1e-13)
+    assert interval_c_closed(6, 2, 2, 0.0) == pytest.approx(12.0, rel=1e-13)
     # beta -> inf saturates tanh
-    assert c_closed_form_free(6, 0, math.inf) == pytest.approx(48.0, rel=1e-13)
+    assert interval_c_closed(6, 0, 0, math.inf) == pytest.approx(48.0, rel=1e-13)
 
 
 def test_closed_form_even_in_field_sign():
-    assert c_closed_form_free(6, 2, 1.1) == pytest.approx(
-        c_closed_form_free(6, 2, -1.1), rel=1e-14)
+    assert interval_c_closed(6, 2, 2, 1.1) == pytest.approx(
+        interval_c_closed(6, 2, 2, -1.1), rel=1e-14)
 
 
 def test_expect_c_matches_reference():
@@ -169,10 +169,17 @@ def test_interval_r_count_sums_binomials():
 
 
 def test_interval_c_closed_collapses_to_point_formula():
-    n, betah = 8, 1.0
-    for m in (-4, 0, 2):
-        assert interval_c_closed(n, m, m, betah) == pytest.approx(
-            c_closed_form_free(n, m, betah), rel=1e-12)
+    # n = 1 included: the window form divides by neither n - 1 nor n^2 - m^2
+    for betah in (0.0, 0.3, 1.0, math.inf):
+        t2 = math.tanh(betah) ** 2
+        for n in range(1, 41):
+            for m in range(-n, n + 1, 2):
+                want = 2 * n + (n * n - m * m) * t2
+                assert interval_c_closed(n, m, m, betah) == pytest.approx(want, rel=1e-14)
+    with pytest.raises(InvalidOutcomeError):
+        interval_c_closed(6, 1, 1, 1.0)
+    with pytest.raises(InvalidOutcomeError):
+        interval_c_closed(6, 8, 8, 1.0)
 
 
 def test_interval_c_closed_full_range_vanishes():
@@ -314,7 +321,7 @@ def test_vcm_principal_observable_recovers_cat_value():
 
 def test_observable_search_free_post_state():
     report = observable_search(free_post(6, 1.0), resolution=64)
-    base = c_closed_form_free(6, 0, 1.0)
+    base = interval_c_closed(6, 0, 0, 1.0)
     assert report.c_value >= base - 1e-9
     assert report.c_value == pytest.approx(35.749377, rel=1e-4)
     assert report.eta_trace >= 1.0

@@ -1,13 +1,14 @@
 """Hamiltonians, Gibbs states, log partitions, and coupling expansions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 import denseref
-from catlab.errors import ContractViolationError, DomainError
+from catlab.errors import ContractViolationError, DomainError, InvalidOutcomeError
 from catlab.measure import OutcomeSpec, outcome_probability
 from catlab.spincore import symmetry_eigh
 from catlab.thermal import (
@@ -15,7 +16,6 @@ from catlab.thermal import (
     gibbs_state,
     ground_state,
     log_free_partition_eq,
-    log_free_partition_post,
     log_interval_partition_post,
     sector_zz_mean,
     sector_zz_sq_mean,
@@ -159,14 +159,16 @@ def test_log_free_partition_eq_large_n_normalization():
     assert abs(shifted) <= 1e-9
 
 
-def test_log_free_partition_post_matches_projected_trace():
+def test_point_partition_post_matches_projected_trace():
+    with pytest.raises(InvalidOutcomeError):
+        log_interval_partition_post(6, 1, 1, 0.8)
     for n in (3, 6):
         for m in range(-n, n + 1, 2):
             hmat = denseref.hamiltonian(n, 1.0)
             proj = denseref.sector_projector(n, m, m)
             want = math.log(np.trace(
                 proj @ denseref.scipy.linalg.expm(-0.8 * hmat) @ proj).real)
-            got = log_free_partition_post(n, m, 0.8)
+            got = log_interval_partition_post(n, m, m, 0.8)
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -174,7 +176,7 @@ def test_partition_difference_is_outcome_probability():
     n, m, betah = 6, 2, 1.1
     rho = gibbs_state(SpinHamiltonian(n=n, h=1.0), betah)
     prob = outcome_probability(rho, OutcomeSpec.exact(m))
-    want = math.exp(log_free_partition_post(n, m, betah)
+    want = math.exp(log_interval_partition_post(n, m, m, betah)
                     - log_free_partition_eq(n, betah))
     assert prob == pytest.approx(want, rel=1e-11)
 
@@ -183,7 +185,7 @@ def test_interval_partition_sums_snapped_sectors():
     n, betah = 7, 0.9
     got = log_interval_partition_post(n, -2, 4, betah)
     sectors = [m for m in range(-n, n + 1, 2) if -2 <= m <= 4]
-    want = logsumexp([log_free_partition_post(n, m, betah) for m in sectors])
+    want = logsumexp([log_interval_partition_post(n, m, m, betah) for m in sectors])
     assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -204,19 +206,32 @@ def enumerate_bond_sums(n, m):
 
 
 def test_sector_zz_mean_matches_enumeration():
-    for n in (3, 5, 6):
+    # at n = 1 the periodic sum is sz_1 sz_1 = 1
+    for n in range(1, 9):
         for m in range(-n, n + 1, 2):
             want = enumerate_bond_sums(n, m).mean()
             assert sector_zz_mean(n, m) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_sector_zz_sq_mean_matches_enumeration():
-    for n in (4, 6):
+    for n in range(1, 9):
         for m in range(-n, n + 1, 2):
             want = (enumerate_bond_sums(n, m) ** 2).mean()
             assert sector_zz_sq_mean(n, m) == pytest.approx(want, rel=1e-12)
     # fully polarized sector: every bond aligned, the sum is n
     assert sector_zz_sq_mean(5, 5) == pytest.approx(25.0, rel=1e-12)
+
+
+def test_sector_zz_sq_mean_is_a_closed_form_at_large_n():
+    # a 2^n x n sign table took 368 MB at n = 20
+    tracemalloc.start()
+    try:
+        value = sector_zz_sq_mean(1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1e6 / 999, rel=1e-15)
+    assert peak < 2**20
 
 
 def dense_catness(n, m, beta, h, j):
@@ -241,10 +256,10 @@ def test_xyz_expansion_residual_shrinks_cubically():
 def test_xyz_expansion_free_limit_matches_closed_form():
     # with all couplings off the expansion is the closed form truncated at
     # second order in beta, so the gap is the quartic tail of tanh^2
-    from catlab.indices import c_closed_form_free
+    from catlab.indices import interval_c_closed
     n, m, betah = 6, 2, 0.08
     got = xyz_c_expansion(n, m, betah, 1.0, (0.0, 0.0, 0.0))
-    want = c_closed_form_free(n, m, betah)
+    want = interval_c_closed(n, m, m, betah)
     assert abs(got - want) <= (n * n - m * m) * betah**4
 
 
