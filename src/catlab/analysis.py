@@ -20,7 +20,7 @@ from .measure import (OutcomeSpec, outcome_distribution, outcome_probability,
                       post_state)
 from .spincore import (QuantumState, _bit_table, _herm_eigh,
                        mz_projector, mz_values, total_magnetization)
-from .thermal import SpinHamiltonian, gibbs_state, log_interval_partition_post
+from .thermal import SpinHamiltonian, _log_cosh, gibbs_state, interval_r_count
 
 SECTOR_TOL = 1e-9
 PROB_SKIP = 1e-14
@@ -36,10 +36,12 @@ def purity_bound_free(n: int, m_lo: int, m_hi: int, betah: float) -> float:
 
     The bound is the ratio Z_W(2 beta h) / Z_W(beta h)^2 of the window's
     doubled-field to squared partition functions (m_lo = m_hi for a point
-    outcome); it is saturated exactly at infinite temperature.
+    outcome); it is saturated exactly at infinite temperature. With
+    ln Z_W(x) = r + n ln cosh x for r the log count of the window's states,
+    it is exp(-r + n (ln cosh 2 beta h - 2 ln cosh beta h)).
     """
-    return math.exp(log_interval_partition_post(n, m_lo, m_hi, 2.0 * betah)
-                    - 2.0 * log_interval_partition_post(n, m_lo, m_hi, betah))
+    return math.exp(-interval_r_count(n, m_lo, m_hi)
+                    + n * (_log_cosh(2.0 * betah) - 2.0 * _log_cosh(betah)))
 
 
 @dataclass(frozen=True)

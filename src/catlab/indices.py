@@ -129,7 +129,11 @@ def i_function(n: int, m_lo: int, m_hi: int) -> float:
     range; always within [0, 1].
     """
     lo, hi = snap_interval(n, m_lo, m_hi)
-    top, bot = _edge_weights(n, lo, hi)
+    return _i_value(n, lo, hi, *_edge_weights(n, lo, hi))
+
+
+def _i_value(n: int, lo: int, hi: int, top: float, bot: float) -> float:
+    """i_function of the snapped window [lo, hi] from its edge weights."""
     return 0.5 * (top * (1.0 - (hi / n) ** 2) + bot * (1.0 - (lo / n) ** 2))
 
 
@@ -143,7 +147,7 @@ def _window_c(n: int, lo: int, hi: int, x: float) -> float:
     at n = 3-7 and every point at n = 8: 7.0e-15 relative.
     """
     top, bot = _edge_weights(n, lo, hi)
-    return n * n * x * i_function(n, lo, hi) + top * (n - hi) + bot * (n + lo)
+    return n * n * x * _i_value(n, lo, hi, top, bot) + top * (n - hi) + bot * (n + lo)
 
 
 def interval_c_closed(n: int, m_lo: int, m_hi: int, betah: float) -> float:

@@ -25,7 +25,11 @@ translation too, so symmetry_eigh diagonalizes them in one block per
 character of that group: two real flip-parity blocks for an open chain, 2n
 momentum and parity blocks for a ring, each with one row per orbit of the
 group (zero where its character holds no state of that orbit), read from
-the bit-operation kernel with no dense matrix. Every entry of a state is
+the bit-operation kernel with no dense matrix. A ring block is complex,
+but a real H also commutes with the site reversal R, so each ring block is
+eigensolved as a real matrix of the same size in a basis that R composed
+with complex conjugation leaves invariant, and its eigenvectors are
+returned in the character basis. Every entry of a state is
 read through QuantumState.entries(rows, cols), and a kernel trace reads only
 the rows in support(). A state built from such a spectrum (SpectralState)
 keeps its group, eigenvectors and weights. A measurement goes through one
@@ -555,7 +559,9 @@ class _SymmetryGroup:
     blocks of k and length - k are complex conjugates, and mult counts both.
     A character has a state of orbit i only when it is trivial on the
     stabilizer of reps[i] (held); every block has one row per orbit, and the
-    trivial character holds every orbit.
+    trivial character holds every orbit. The site reversal R is not in the
+    group; mirror and mirror_by say where it sends each representative, for
+    the real basis of the ring blocks (_reflection_basis).
     """
 
     n: int
@@ -570,6 +576,8 @@ class _SymmetryGroup:
     held: np.ndarray       # (C, N): character c has a state of orbit i
     valid: np.ndarray      # (C, N): eigenvector j of block c is a state
     compose: np.ndarray    # (G, G): the index of g h^-1
+    mirror: np.ndarray     # (N,): the orbit of R . reps[i], R the site reversal
+    mirror_by: np.ndarray  # (N,): the g with g . R . reps[i] = reps[mirror[i]]
 
 
 @lru_cache(maxsize=None)
@@ -594,12 +602,17 @@ def _symmetry_group(n: int, translation: bool) -> _SymmetryGroup:
         chars = np.ascontiguousarray(chars.real)
     trivial = np.abs(chars - 1.0) < 1e-9
     held = ~(fixes.T[None] & ~trivial[:, None, :]).any(axis=2)
+    rep_index, to_rep = lookup[rep], images.argmin(axis=0)
+    mirrored = np.zeros_like(reps)  # R moves site s to site n + 1 - s
+    for bit in range(n):
+        mirrored |= ((reps >> bit) & 1) << (n - 1 - bit)
     tables = dict(
-        images=images, reps=reps, rep_index=lookup[rep],
-        to_rep=images.argmin(axis=0), stab=fixes.sum(axis=0), chars=chars,
+        images=images, reps=reps, rep_index=rep_index, to_rep=to_rep,
+        stab=fixes.sum(axis=0), chars=chars,
         mult=np.repeat(np.where((k == 0) | (2 * k == length), 1, 2), 2),
         held=held, valid=np.arange(reps.size) < held.sum(axis=1)[:, None],
-        compose=2 * ((t[:, None] - t) % length) + (f[:, None] ^ f))
+        compose=2 * ((t[:, None] - t) % length) + (f[:, None] ^ f),
+        mirror=rep_index[mirrored], mirror_by=to_rep[mirrored])
     for table in tables.values():
         table.setflags(write=False)
     return _SymmetryGroup(n=n, length=length, **tables)
@@ -663,6 +676,26 @@ def _character_blocks(group: _SymmetryGroup, terms: PauliTerms, orbits: np.ndarr
     return blocks
 
 
+def _reflection_basis(group: _SymmetryGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of W, a basis of each ring block that Theta = R K leaves
+    invariant (R the site reversal, K complex conjugation), as (diag, off):
+    column i of block c is diag[c, i] e_i + off[c, i] e_mirror(i).
+
+    Theta sends |chi, a> to phi_a |chi, mirror(a)>, phi_a = chi(g_a)* for
+    g_a = mirror_by[a], since R T R^-1 = T^-1. An orbit that is its own
+    mirror gets sqrt(phi_a) e_a; a pair a < b gets (e_a + phi_a e_b) / sqrt 2
+    in column a and i (e_a - phi_a e_b) / sqrt 2 in column b.
+    """
+    mirror, orbit = group.mirror, np.arange(group.reps.size)
+    phi = group.chars.conj()[:, group.mirror_by]
+    half = np.sqrt(0.5)
+    pair = phi[:, np.minimum(orbit, mirror)] * half  # phi_a sqrt(1/2) for the pair's a
+    alone, first = mirror == orbit, orbit < mirror
+    diag = np.where(alone, np.sqrt(phi), np.where(first, half, -1j * pair))
+    off = np.where(alone, 0.0, np.where(first, pair, 1j * half))
+    return diag, off
+
+
 def symmetry_eigh(terms: PauliTerms, translation: bool
                   ) -> tuple[_SymmetryGroup, np.ndarray, np.ndarray]:
     """Eigensolve of a real Pauli sum blockwise over its symmetry characters,
@@ -670,16 +703,21 @@ def symmetry_eigh(terms: PauliTerms, translation: bool
 
     The group is generated by the global flip and, when translation is set,
     the cyclic translation of a ring: an open chain gets two real flip-parity
-    blocks of 2^(n-1) states, a ring 2n complex ones of about 2^n / 2n. The state
-    of orbit a in the block of character chi has the coefficient
-    chi(g)* sqrt(|Stab_a| / |G|) on s = g . a, and the block entries are
-    read from the amplitudes of terms (_character_blocks), with no dense
-    matrix. Row c of w and u is the block of character c of group, with one
-    row of u per orbit: the rows of the orbits c holds no state of are zero,
-    and eigenvector j is a state where group.valid[c, j], padding above the
-    spectrum elsewhere. Each row stands for group.mult[c] characters.
-    Raises unless every amplitude is real, terms is Hermitian and it
-    commutes with each generator.
+    blocks of 2^(n-1) states, a ring 2n momentum and parity blocks of about
+    2^n / 2n. The state of orbit a in the block of character chi has the
+    coefficient chi(g)* sqrt(|Stab_a| / |G|) on s = g . a, and the block
+    entries are read from the amplitudes of terms (_character_blocks), with
+    no dense matrix. A ring block is complex in that basis, but real in the
+    basis W that Theta = R K leaves invariant (_reflection_basis), as a real
+    H commutes with the site reversal R: each ring block is eigensolved as
+    the real W^dagger B W, and its eigenvectors go back through W, two
+    entries per column. Row c of w and u is the block of character c of
+    group, with one row of u per orbit, in the character basis: the rows of
+    the orbits c holds no state of are zero, and eigenvector j is a state
+    where group.valid[c, j], padding above the spectrum elsewhere. Each row
+    stands for group.mult[c] characters. Raises unless every amplitude is
+    real, terms is Hermitian and it commutes with each generator, and, on a
+    ring, with R.
     """
     n = _check_cap(terms.n)
     group = _symmetry_group(n, bool(translation))
@@ -687,10 +725,29 @@ def symmetry_eigh(terms: PauliTerms, translation: bool
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = _character_blocks(group, terms, np.arange(group.reps.size))
         # the padding sits above |H| <= sum of the term norms, so it sorts last
-        blocks[c, i, i] = 1.0 + np.sum([np.abs(a).max() for a in terms.flips.values()])
+        bound = 1.0 + np.sum([np.abs(a).max() for a in terms.flips.values()])
+        blocks[c, i, i] = bound
     if not np.isfinite(blocks).all():
         raise ContractViolationError(f"symmetry blocks overflow at n={n}")
-    w, u = np.linalg.eigh(blocks)
+    ring = group.length > 1
+    if ring:  # each block B as the real W^dagger B W, two gathers per block
+        diag, off = _reflection_basis(group)
+        mirror, real = group.mirror, np.empty(blocks.shape)
+        for block, d, o, out in zip(blocks, diag, off, real):
+            bw = block * d
+            bw += block[:, mirror] * o
+            wbw = d.conj()[:, None] * bw
+            wbw += o.conj()[:, None] * bw[mirror]
+            if np.abs(wbw.imag).max() > HERM_TOL * bound:
+                raise ContractViolationError(
+                    "symmetry blocks: the Pauli sum does not commute with the reflection")
+            out[:] = wbw.real
+    w, u = np.linalg.eigh(real if ring else blocks)
+    if ring:  # u = W u', written over the spent blocks
+        for v, d, o, out in zip(u, diag, off, blocks):
+            np.multiply(v, d[:, None], out=out)
+            out += o[mirror][:, None] * v[mirror]
+        u = blocks
     u[c, i] = 0.0
     return group, w, u
 

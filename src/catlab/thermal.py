@@ -46,10 +46,6 @@ class SpinHamiltonian:
         if len(self.j) != 3:
             raise ContractViolationError("j must be a (Jx, Jy, Jz) triple")
 
-    @property
-    def is_free(self) -> bool:
-        return all(v == 0.0 for v in self.j)
-
     def bonds(self) -> list[tuple[int, int]]:
         if self.n == 1:
             return []

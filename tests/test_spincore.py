@@ -170,6 +170,22 @@ def test_symmetry_eigh_rejects_asymmetric_or_complex_input():
     lopsided = np.array([1.0, 2.0, 2.0, 1.0])
     with pytest.raises(ContractViolationError, match="Hermitian"):
         symmetry_eigh(PauliTerms(2, {1: lopsided, 2: lopsided}), translation=True)
+    # real, Hermitian, flip- and translation-symmetric, but the site reversal
+    # sends sum_i X_i Z_i+1 Z_i+2 to sum_i Z_i Z_i+1 X_i+2: a ring rejects
+    # it, and the flip alone, whose blocks are real as built, still takes it
+    n, flips = 5, {}
+    for i in range(1, n + 1):
+        x = np.zeros((n, 3))
+        x[i - 1, 0] = 1.0
+        zz = pauli_terms(n, bonds=[(i % n + 1, (i + 1) % n + 1, (0.0, 0.0, 1.0))])
+        for mask, amp in (pauli_terms(n, x) @ zz).flips.items():
+            flips[mask] = flips.get(mask, 0.0) + amp
+    chiral = PauliTerms(n, flips)
+    with pytest.raises(ContractViolationError, match="reflection"):
+        symmetry_eigh(chiral, translation=True)
+    group, w, _ = symmetry_eigh(chiral, translation=False)
+    np.testing.assert_allclose(np.sort(w.ravel()), np.linalg.eigvalsh(chiral.dense()),
+                               rtol=0, atol=1e-12)
 
 
 def test_open_chain_eigensolves_real_blocks():

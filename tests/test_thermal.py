@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 import denseref
 from catlab.errors import ContractViolationError, DomainError, InvalidOutcomeError
 from catlab.measure import OutcomeSpec, outcome_probability
-from catlab.spincore import symmetry_eigh
+from catlab.spincore import _character_blocks, symmetry_eigh
 from catlab.thermal import (
     SpinHamiltonian,
     gibbs_state,
@@ -33,11 +33,6 @@ def test_bond_list_periodic_vs_open():
         (1, 2), (2, 3), (3, 4)]
     # a ring of two sites would duplicate the single bond
     assert list(SpinHamiltonian(n=2, h=1.0).bonds()) == [(1, 2)]
-
-
-def test_is_free_flag():
-    assert SpinHamiltonian(n=4, h=1.0).is_free
-    assert not SpinHamiltonian(n=4, h=1.0, j=(0.1, 0.0, 0.0)).is_free
 
 
 KERNEL_SIZES = (1, 2, 3, 4, 5, 8)
@@ -112,6 +107,33 @@ def test_symmetry_blocks_match_dense_reference():
             np.testing.assert_allclose(rho.mat, want, atol=1e-12)
             np.testing.assert_allclose(ground_state(ham).mat, _dense_ground(hmat),
                                        atol=1e-12)
+
+
+@pytest.mark.parametrize("j", [(0.2, 0.0, 0.1), (0.2, 0.15, 0.1)])
+def test_ring_eigensolves_real_blocks(j):
+    # a real H commutes with the site reversal R, so every ring block is
+    # eigensolved real in a basis that R K leaves invariant; u comes back in
+    # the character basis, as eigenvectors of the complex blocks
+    for n in SYMMETRY_SIZES:
+        ham = SpinHamiltonian(n=n, h=0.7, j=j)
+        hmat = denseref.hamiltonian(n, 0.7, j)
+        group, w, u = symmetry_eigh(ham.terms(), translation=True)
+        orbits = np.arange(group.reps.size)
+        np.testing.assert_array_equal(group.mirror[group.mirror], orbits)
+        reversed_reps = [int(format(int(r), f"0{n}b")[::-1], 2) for r in group.reps]
+        np.testing.assert_array_equal(group.images[group.mirror_by, reversed_reps],
+                                      group.reps[group.mirror])
+        counts = np.broadcast_to(group.mult[:, None], w.shape)[group.valid]
+        np.testing.assert_allclose(np.sort(np.repeat(w[group.valid], counts)),
+                                   np.linalg.eigvalsh(hmat), rtol=0, atol=1e-12)
+        assert not u[np.nonzero(~group.held)].any()
+        blocks = _character_blocks(group, ham.terms(), orbits)
+        for block, vals, vecs, valid in zip(blocks, w, u, group.valid):
+            np.testing.assert_allclose(block @ vecs[:, valid], vecs[:, valid] * vals[valid],
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gibbs_state(ham, 0.9).mat, denseref.gibbs(hmat, 0.9),
+                                   atol=1e-12)
+        np.testing.assert_allclose(ground_state(ham).mat, _dense_ground(hmat), atol=1e-12)
 
 
 def test_ground_state_free_field_is_polarized():
