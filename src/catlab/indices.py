@@ -11,13 +11,16 @@ local log-log slopes to the large-n limit.
 The search evaluates directions through one quadratic form per state:
 [A, [A, rho]] is quadratic in the direction of a uniform A, so six
 Hermitian forms are built once, in a basis of at most 10 rank(rho) vectors,
-and each direction costs one linear combination and one eigvalsh. Every
-other witness (optimal_witness, q_functional, expect_c with a dense eta)
-reads the form for one A, in at most 3 rank(rho) vectors. A state that
-commutes with M_z, as every single-outcome post-state does, is unchanged
-by rotations about z, so its catness depends on the polar angle alone:
-three forms over Mx and Mz, real when the state is, and half the grid
-suffice.
+and a stack of directions costs one linear combination and one stacked
+eigvalsh. A state that commutes with the cyclic translation of a ring
+splits every form into one block per momentum, so each direction is a few
+small blocks. Every other witness (optimal_witness, q_functional, expect_c
+with a dense eta) reads the form for one A, in at most 3 rank(rho) vectors,
+through the same blocks. A state that commutes with M_z, as every
+single-outcome post-state does, is unchanged by rotations about z, so its
+catness depends on the polar angle alone: three forms over Mx and Mz, and
+half the grid suffice; a real state's momentum pairs (k, n - k) are read
+once.
 """
 from __future__ import annotations
 
@@ -28,10 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .spincore import (_EIG_FLOOR, _GATHER_CHUNK, AdditiveObservable,
+from .spincore import (_EIG_FLOOR, _GATHER_CHUNK, HERM_TOL, AdditiveObservable,
                        FactoredState, PauliTerms, QuantumState, _check_cap,
-                       _herm_eigh, additive_observable, mz_values, pauli_terms,
-                       pure_state, snap_interval, total_magnetization,
+                       _herm_eigh, _symmetry_group, additive_observable, mz_values,
+                       pauli_terms, pure_state, snap_interval, total_magnetization,
                        uniform_observable)
 from .thermal import _log_binom, interval_r_count
 
@@ -105,9 +108,8 @@ def expect_c(rho: QuantumState, a: AdditiveObservable, eta) -> float:
     if emat is None:
         val = rho.catness(a.terms(), eta)
     else:
-        form = _catness_form(*rho.factors(), [a])
-        side = emat if form.basis is None else form.basis @ emat @ form.basis.conj().T
-        val = complex(np.einsum("ij,ji->", form.forms[0], side))
+        forms, rows = _catness_form(*rho.factors(), [a]).unfolded()
+        val = complex(np.einsum("bij,bji->", forms[0], rows @ emat @ rows.conj().swapaxes(1, 2)))
     scale = 1.0 + abs(val)
     if abs(val.imag) > 1e-10 * scale:
         raise ContractViolationError(f"catness value has imaginary part {val.imag:.3e}")
@@ -164,53 +166,75 @@ def optimal_witness(rho: QuantumState, a: AdditiveObservable) -> tuple[np.ndarra
     By cyclic invariance the trace equals Tr[eta D] with D = [A, [A, rho]],
     so the exact maximum over projectors is the positive eigenspace of D and
     the value is the sum of D's positive eigenvalues, half the trace norm.
-    D is eigensolved as its form F = B D B^dagger (_catness_form), and eta's
-    eigenvectors go back through B: eta, a plain array, is the one d x d array.
+    D is eigensolved as its form F_b = E_b D E_b^dagger on each block b
+    (_catness_form), and eta's eigenvectors go back through the adjoint of the
+    split, E_b^dagger: eta, a plain array, is the one d x d array, real when D is.
     """
     form = _catness_form(*rho.factors(), [a])
-    w, u = _herm_eigh(form.forms[0], "[A, [A, rho]]")
+    forms, rows = form.unfolded()
+    w, u = _herm_eigh(forms[0], "[A, [A, rho]]")
     sel = _positive(w)
-    vecs = u[:, sel] if form.basis is None else form.basis.conj().T @ u[:, sel]
-    return vecs @ vecs.conj().T, float(w[sel].sum())
+    vecs = (rows.conj().swapaxes(1, 2) @ (u * sel[:, None, :])).swapaxes(0, 1)
+    vecs = vecs.reshape(rho.dim, -1)
+    eta = vecs @ vecs.conj().T
+    return eta.real if form.real else eta, float(w[sel].sum())
 
 
 def q_functional(rho: QuantumState, a: AdditiveObservable) -> float:
-    """Trace norm of [A, [A, rho]], from its form; zero exactly when A and rho commute."""
+    """Trace norm of [A, [A, rho]], from the blocks of its form; zero exactly
+    when A and rho commute."""
     form = _catness_form(*rho.factors(), [a])
     lam = _herm_eigh(form.forms[0], "[A, [A, rho]]", _values_only=True)
-    return float(np.abs(lam).sum())
+    return float(np.abs(lam).sum(axis=1) @ form.mult)
 
 
 @dataclass(frozen=True, eq=False)
 class _CatnessForm:
-    """D(c) = [A, [A, rho]] for A = sum_a c_a O_a, as sum_{a<=b} c_a c_b G_ab.
+    """D(c) = [A, [A, rho]] for A = sum_a c_a O_a, as sum_{a<=b} c_a c_b G_ab,
+    one block per sector of a split of the space that D(c) keeps.
 
-    forms[p] is G_ab for pairs[p] = (a, b), written in an orthonormal basis
-    of a space that holds the range of every D(c), so the nonzero spectrum
-    of the combination is that of the dense D. basis holds it as K rows B of
-    length 2^n, D(c) = B^dagger (sum c_a c_b G_ab) B, or is None for B = 1.
+    forms[p, b] is G_ab for pairs[p] = (a, b) on block b, written in an
+    orthonormal basis of a space that holds the block's range of every D(c),
+    and zero-padded to the widest block. basis[b] holds that basis as rows
+    over the block's coordinates, and row i of block b over the 2^n states is
+    basis[b, i, index] * phase[b], for lift = (index, phase): then
+    D(c) = sum_b E_b^dagger (sum c_a c_b G_ab) E_b. One block is the whole
+    space (index every state, phase 1); a split has one block per momentum,
+    with coordinates over the translation orbits. The spectrum of D(c) is
+    that of its blocks, each counted mult[b] times: a real D reads each
+    conjugate pair of momenta (k, n - k) once, as its block k.
     """
 
     pairs: np.ndarray
     forms: np.ndarray
-    basis: np.ndarray | None
+    mult: np.ndarray
+    basis: np.ndarray
+    lift: tuple[np.ndarray, np.ndarray]
+    real: bool
 
     def _at(self, coeffs) -> tuple[np.ndarray, np.ndarray]:
-        """(c, D(c)) for c the unit vector along coeffs: D scales as |c|^2, so
-        coeffs are scaled to unit length, as uniform_observable scales a direction."""
-        c = np.asarray(coeffs, dtype=float)
-        nrm = np.linalg.norm(c)
-        if not np.isfinite(nrm) or nrm < 1e-12:
+        """(c, D(c)) for the stack c of unit vectors along the rows of coeffs:
+        D scales as |c|^2, so coeffs are scaled to unit length, as
+        uniform_observable scales a direction."""
+        c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        nrm = np.linalg.norm(c, axis=1, keepdims=True)
+        if not np.isfinite(nrm).all() or nrm.min() < 1e-12:
             raise ContractViolationError("direction must be a nonzero vector")
         c = c / nrm
-        return c, np.tensordot(c[self.pairs[:, 0]] * c[self.pairs[:, 1]], self.forms, axes=1)
+        return c, np.tensordot(c[:, self.pairs[:, 0]] * c[:, self.pairs[:, 1]], self.forms, axes=1)
 
-    def value(self, coeffs) -> tuple[float, float]:
-        """(max-over-eta value, optimal eta trace): the sum and the count of
-        the positive eigenvalues of D(c)."""
-        lam = np.linalg.eigvalsh(self._at(coeffs)[1])
-        pos = lam[_positive(lam)]
-        return float(pos.sum()), float(pos.size)
+    def value(self, coeffs):
+        """(max-over-eta value, optimal eta trace) of each direction of the
+        stack coeffs, as arrays, or of one direction as floats: the sum and
+        the count of the positive eigenvalues of D(c) over its blocks. The
+        stack is eigensolved in chunks of at most _GATHER_CHUNK entries."""
+        c = np.atleast_2d(coeffs)
+        step = max(1, _GATHER_CHUNK // max(1, self.forms[0].size))
+        lam = np.concatenate([np.linalg.eigvalsh(self._at(c[lo:lo + step])[1])
+                              for lo in range(0, len(c), step)])
+        pos = _positive(lam)
+        vals, counts = np.where(pos, lam, 0.0).sum(axis=2) @ self.mult, pos.sum(axis=2) @ self.mult
+        return (float(vals[0]), float(counts[0])) if np.ndim(coeffs) == 1 else (vals, counts)
 
     def step(self, coeffs) -> np.ndarray:
         """The ascent step from c: Q's top unit eigenvector c', signed to agree
@@ -219,18 +243,50 @@ class _CatnessForm:
         value(c') >= Tr[P D(c')] >= Tr[P D(c)] = value(c), as value maximizes
         over projectors and c' maximizes the form over unit vectors."""
         c, mat = self._at(coeffs)
-        lam, u = _herm_eigh(mat, "[A, [A, rho]]")
-        pos = u[:, _positive(lam)]
-        half = np.zeros((c.size, c.size))  # Q = half + half^T: Tr[P G_ab] / 2 at a <= b
-        half[tuple(self.pairs.T)] = 0.5 * np.tensordot(self.forms, pos @ pos.conj().T,
-                                                       axes=([1, 2], [1, 0])).real
+        lam, u = _herm_eigh(mat[0], "[A, [A, rho]]")
+        pos = u * _positive(lam)[:, None, :]
+        proj = pos @ pos.conj().swapaxes(1, 2)
+        half = np.zeros((c.shape[1],) * 2)  # Q = half + half^T: Tr[P G_ab] / 2 at a <= b
+        half[tuple(self.pairs.T)] = 0.5 * np.einsum("pbij,bji,b->p", self.forms, proj,
+                                                    self.mult).real
         top = _herm_eigh(half + half.T, "catness quadratic form")[1][:, -1]
-        return top if top @ c >= 0.0 else -top
+        return top if top @ c[0] >= 0.0 else -top
+
+    def unfolded(self) -> tuple[np.ndarray, np.ndarray]:
+        """(forms, rows) with every block counted once: rows[b] is E_b, over
+        the 2^n states, and a block of mult 2 is followed by its conjugate
+        partner, so that D(c) = sum_b E_b^dagger (sum c_a c_b forms[:, b]) E_b."""
+        index, phase = self.lift
+        rows = self.basis[:, :, index] * phase[:, None, :]
+        twin = self.mult > 1
+        return (np.concatenate([self.forms, self.forms[:, twin].conj()], axis=1),
+                np.concatenate([rows, rows[twin].conj()]))
 
 
 def _positive(lam: np.ndarray) -> np.ndarray:
-    """The eigenvalues above _EIG_FLOOR relative to the largest magnitude."""
-    return lam > _EIG_FLOOR * (1.0 + float(np.abs(lam).max(initial=0.0)))
+    """The eigenvalues above _EIG_FLOOR relative to the largest magnitude
+    over the blocks of their direction (the last two axes)."""
+    top = np.abs(lam).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    return lam > _EIG_FLOOR * (1.0 + top)
+
+
+def _translation_group(weights: np.ndarray, vecs: np.ndarray, observables):
+    """The orbits of the cyclic translation T (_symmetry_group without the
+    flip) when rho = V diag(w) V^dagger and every observable commute with T;
+    None otherwise. A uniform observable commutes with T. rho does when T
+    keeps the range of V, T V = V (V^dagger T V), and V^dagger T V commutes
+    with diag(w), each to HERM_TOL."""
+    n = vecs.shape[0].bit_length() - 1
+    if not all(obs.uniform for obs in observables):
+        return None
+    group = _symmetry_group(n, True, False)
+    tv = vecs[group.images[-1]]
+    m = vecs.conj().T @ tv
+    if (np.abs(tv - vecs @ m).max(initial=0.0) > HERM_TOL
+            or np.abs(m * weights - weights[:, None] * m).max(initial=0.0)
+            > HERM_TOL * weights.max(initial=0.0)):
+        return None
+    return group
 
 
 def _catness_form(weights: np.ndarray, vecs: np.ndarray,
@@ -239,12 +295,21 @@ def _catness_form(weights: np.ndarray, vecs: np.ndarray,
 
     With S_ab = O_a O_b + O_b O_a (S_aa = O_a^2) and T_ab the same
     symmetrization of O_a rho O_b, D(c) = sum_{a<=b} c_a c_b (S_ab rho +
-    rho S_ab - 2 T_ab). Its range lies in span{V, O_a V, S_ab V}: 10 rank(rho)
-    columns for three observables, 3 rank(rho) for one. The forms are written
-    in a basis of that span with its null directions dropped, or in the
-    standard basis when the columns outnumber the rows.
+    rho S_ab - 2 T_ab). Its range lies in span{V, O_a V, S_ab V}: L = 10
+    rank(rho) columns for three observables, 3 rank(rho) for one.
+
+    When rho and every O_a commute with the cyclic translation T
+    (_translation_group), D(c) does too, and the columns split into one
+    block per momentum k: one gather of each column along every orbit and an
+    FFT along it give the coefficients on the momentum states of the orbits.
+    A real column block keeps k <= n / 2, each k < n / 2 standing for the
+    conjugate pair (k, n - k); a complex one keeps all n. Any other rho is
+    one block. Every block is orthonormalized by its SVD, its null
+    directions dropped below one floor for all blocks: the largest singular
+    value times max(2^n, L) times eps. So a block's side K is at most its
+    rank, and the forms are written in that basis.
     """
-    r = len(weights)
+    r, dim = len(weights), vecs.shape[0]
     count = len(observables)
     pairs = np.array([(a, b) for a in range(count) for b in range(a, count)])
     terms = [obs.terms() for obs in observables]
@@ -254,23 +319,35 @@ def _catness_form(weights: np.ndarray, vecs: np.ndarray,
     def product(a: int, b: int) -> np.ndarray:  # O_a O_b V
         return oov[a][:, b * r:(b + 1) * r]
 
-    blocks = [vecs, *ov, *(product(a, b) + product(b, a) if a != b else product(a, a)
-                           for a, b in pairs)]
-    basis = None
-    if len(blocks) * r < vecs.shape[0]:
-        cols = np.hstack(blocks)
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        basis = u[:, s > s[0] * max(cols.shape) * np.finfo(float).eps].conj().T
-        blocks = [basis @ block for block in blocks]
+    cols = np.hstack([vecs, *ov, *(product(a, b) + product(b, a) if a != b else product(a, a)
+                                   for a, b in pairs)])
+    real = not np.iscomplexobj(cols)
+    group = _translation_group(weights, vecs, observables)
+    if group is None:
+        stack, mult, lift = cols[None], np.ones(1, dtype=int), (np.arange(dim), np.ones((1, dim)))
+    else:  # coefficients sqrt(|Stab_a| / n) e^{-2 pi i k t / n} on T^t a
+        n = group.n
+        stack = (np.fft.rfft if real else np.fft.fft)(cols[group.images[:, group.reps]], axis=0)
+        k = np.arange(len(stack))
+        stack *= (group.held[np.minimum(k, n - k)] / np.sqrt(n * group.stab))[:, :, None]
+        mult = group.mult if real else np.ones(n, dtype=int)
+        phase = np.exp(2j * np.pi * np.outer(k, group.to_rep) / n)
+        lift = group.rep_index, phase * np.sqrt(group.stab / n)[group.rep_index]
+    # one block at a time, so that only one block's right vectors are held
+    u, s = (np.stack(part) for part in zip(*(np.linalg.svd(block, full_matrices=False)[:2]
+                                             for block in stack)))
+    kept = s > s.max(initial=0.0) * max(cols.shape) * np.finfo(float).eps
+    side = int(kept.sum(axis=1).max(initial=0))
+    basis = (u[:, :, :side] * kept[:, None, :side]).conj().swapaxes(1, 2)
+    blocks = np.split(basis @ stack, 1 + count + len(pairs), axis=2)
     p0, x, y = blocks[0], blocks[1:count + 1], blocks[count + 1:]
-    side = p0.shape[0]
-    forms = np.empty((len(pairs), side, side), dtype=np.result_type(*blocks))
+    forms = np.empty((len(pairs), *p0.shape[:2], side), dtype=p0.dtype)
     for p, ((a, b), yab) in enumerate(zip(pairs, y)):
         # G_ab = H + H^dagger, so every form is exactly Hermitian
-        half = (yab * weights) @ p0.conj().T
-        half -= (2.0 if a != b else 1.0) * ((x[a] * weights) @ x[b].conj().T)
-        np.add(half, half.conj().T, out=forms[p])
-    return _CatnessForm(pairs=pairs, forms=forms, basis=basis)
+        half = (yab * weights) @ p0.conj().swapaxes(1, 2)
+        half -= (2.0 if a != b else 1.0) * ((x[a] * weights) @ x[b].conj().swapaxes(1, 2))
+        np.add(half, half.conj().swapaxes(1, 2), out=forms[p])
+    return _CatnessForm(pairs=pairs, forms=forms, mult=mult, basis=basis, lift=lift, real=real)
 
 
 def _grid_directions(k: int, half_plane: bool = False) -> np.ndarray:
@@ -307,18 +384,22 @@ def observable_search(rho: QuantumState,
 
     D(d) = [A, [A, rho]] is quadratic in the direction d of a uniform A, so
     the six forms G_ab over the three total magnetizations are built once per
-    state (_catness_form) and each direction costs one linear combination and
-    one eigvalsh of side K <= min(10 rank(rho), 2^n). The forms take
-    6 * K^2 * 16 bytes: 96 MB for a full-rank state at n = 10. The grid has
-    resolution directions. The ascent takes at most 200 _CatnessForm.step
-    moves, each retried at twice its length while the value rises, and stops
-    at a fixed point of the step or at a move that does not raise the value.
+    state (_catness_form), one block per momentum when rho commutes with the
+    cyclic translation, and each direction costs one linear combination and
+    one eigvalsh per block. A block's side is at most its rank, and the sides,
+    each conjugate pair counted twice, sum to the rank of the form's columns,
+    at most min(10 rank(rho), 2^n). The grid has resolution directions,
+    evaluated in stacked calls. On the m = 0 post-state of the n = 10 XYZ ring
+    the blocks are 6 of side 77-82, where one block would have side 1024.
+    The ascent takes at most 200 _CatnessForm.step moves, each retried at
+    twice its length while the value rises, and stops at a fixed point of
+    the step or at a move that does not raise the value.
 
     A rho that commutes with M_z is unchanged by rotations about z, so D(d)
     depends on the polar angle theta of d alone. Then three forms over Mx and
-    Mz (real when rho is) serve the equator, the pole and the
-    ceil(resolution / 2) distinct polar angles of the same spiral, all
-    evaluated exactly; the ascent runs in the xz plane, where a_used lies.
+    Mz serve the equator, the pole and the ceil(resolution / 2) distinct
+    polar angles of the same spiral, all evaluated exactly; the ascent runs
+    in the xz plane, where a_used lies.
     """
     if resolution < 2:
         raise DomainError("need at least two grid directions")
@@ -330,22 +411,27 @@ def observable_search(rho: QuantumState,
     best: list = [-1.0, 0.0, None]  # value, eta trace, direction over axes
     seen: set = set()  # the polar grid's z = 0 repeats the equator
 
-    def evaluate(c: np.ndarray) -> bool:
-        """Whether c, evaluated once, raises the best value."""
-        if c.tobytes() in seen:
+    def evaluate(cs: np.ndarray) -> bool:
+        """Whether the stack cs, each direction evaluated once in one
+        stacked call, raises the best value; the first best row wins."""
+        fresh = []
+        for c in cs:
+            if c.tobytes() not in seen:
+                seen.add(c.tobytes())
+                fresh.append(c)
+        if not fresh:
             return False
-        seen.add(c.tobytes())
-        val, eta_tr = form.value(c)
-        if val <= best[0]:
+        vals, traces = form.value(np.array(fresh))
+        i = int(np.argmax(vals))
+        if vals[i] <= best[0]:
             return False
-        best[:] = val, eta_tr, c
+        best[:] = float(vals[i]), float(traces[i]), fresh[i]
         return True
 
     grid = _grid_directions(resolution, half_plane=commutes)
     if commutes:  # the equator and the pole exactly, then the grid
         grid = np.vstack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], grid])
-    for c in grid[:, axes]:
-        evaluate(c)
+    evaluate(grid[:, axes])
     for _ in range(200):
         start = best[2]
         move = form.step(start) - start
@@ -353,7 +439,7 @@ def observable_search(rho: QuantumState,
             break
         for length in 2.0 ** np.arange(50):  # |move| > 1e-12: 2^50 points along move
             trial = start + length * move
-            if not evaluate(trial / np.linalg.norm(trial)):
+            if not evaluate((trial / np.linalg.norm(trial))[None]):
                 break
         if best[2] is start:  # the step did not raise the value
             break

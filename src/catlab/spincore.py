@@ -210,12 +210,13 @@ def pauli_terms(n: int, site_coeffs=None, bonds=()) -> PauliTerms:
 
 
 def _herm_eigh(mat: np.ndarray, what: str, _values_only: bool = False):
-    """eigh, or eigvalsh with _values_only, of a Hermitian array: the one
-    dense eigensolve. Both read one triangle only, so a matrix further than
-    HERM_TOL (relative to its largest entry) from Hermitian is rejected."""
+    """eigh, or eigvalsh with _values_only, of a Hermitian array or a stack
+    of them: the one dense eigensolve. Both read one triangle only, so a
+    matrix further than HERM_TOL (relative to the stack's largest entry)
+    from Hermitian is rejected."""
     mat = np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float)
     scale = 1.0 + float(np.abs(mat).max(initial=0.0))
-    if float(np.abs(mat - mat.conj().T).max(initial=0.0)) > HERM_TOL * scale:
+    if float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max(initial=0.0)) > HERM_TOL * scale:
         raise ContractViolationError(f"{what} must be Hermitian")
     return np.linalg.eigvalsh(mat) if _values_only else np.linalg.eigh(mat)
 
@@ -551,12 +552,14 @@ def snap_interval(n: int, m_lo: int, m_hi: int) -> tuple[int, int]:
 @dataclass(frozen=True, eq=False)
 class _SymmetryGroup:
     """The group generated by the global flip F and, on a ring, the cyclic
-    translation T, with the tables that its blocks are built from.
+    translation T, with the tables that its blocks are built from; without
+    the flip, the translations alone (the momenta of the search forms).
 
     Element g = 2 t + f is T^t F^f for t < length (length = n on a ring, 1
-    on an open chain). The character chi_{k,p}(g) = exp(2 pi i k t / length)
-    p^f is kept only for k <= length / 2, as row c = 2 k + (p == -1): the
-    blocks of k and length - k are complex conjugates, and mult counts both.
+    on an open chain), or g = t without the flip. The character
+    chi_{k,p}(g) = exp(2 pi i k t / length) p^f is kept only for
+    k <= length / 2, as row c = 2 k + (p == -1), or c = k without the flip:
+    the blocks of k and length - k are complex conjugates, and mult counts both.
     A character has a state of orbit i only when it is trivial on the
     stabilizer of reps[i] (held); every block has one row per orbit, and the
     trivial character holds every orbit. The site reversal R is not in the
@@ -581,23 +584,23 @@ class _SymmetryGroup:
 
 
 @lru_cache(maxsize=None)
-def _symmetry_group(n: int, translation: bool) -> _SymmetryGroup:
+def _symmetry_group(n: int, translation: bool, flip: bool = True) -> _SymmetryGroup:
     idx, _ = _bit_table(n)
-    length = n if translation else 1
+    length, per = n if translation else 1, 2 if flip else 1
     shifts = [idx]
     for _ in range(length - 1):  # T moves site s to site s + 1, site n to site 1
         s = shifts[-1]
         shifts.append((s >> 1) | ((s & 1) << (n - 1)))
-    images = np.stack([image for s in shifts for image in (s, s ^ (idx.size - 1))])
+    images = np.stack([image for s in shifts for image in (s, s ^ (idx.size - 1))[:per]])
     rep = images.min(axis=0)
     reps = np.flatnonzero(rep == idx)
     lookup = np.zeros(idx.size, dtype=np.intp)
     lookup[reps] = np.arange(reps.size)
     fixes = images[:, reps] == reps
-    t, f = np.divmod(np.arange(2 * length), 2)
+    t, f = np.divmod(np.arange(per * length), per)
     k = np.arange(length // 2 + 1)
     chars = (np.exp(2j * np.pi * np.outer(k, t) / length)[:, None, :]
-             * np.where(f, [[1.0], [-1.0]], 1.0)).reshape(-1, 2 * length)
+             * np.where(f, [[1.0], [-1.0]], 1.0)[:per]).reshape(-1, per * length)
     if length == 1:  # the flip alone has the real characters +-1
         chars = np.ascontiguousarray(chars.real)
     trivial = np.abs(chars - 1.0) < 1e-9
@@ -609,9 +612,9 @@ def _symmetry_group(n: int, translation: bool) -> _SymmetryGroup:
     tables = dict(
         images=images, reps=reps, rep_index=rep_index, to_rep=to_rep,
         stab=fixes.sum(axis=0), chars=chars,
-        mult=np.repeat(np.where((k == 0) | (2 * k == length), 1, 2), 2),
+        mult=np.repeat(np.where((k == 0) | (2 * k == length), 1, 2), per),
         held=held, valid=np.arange(reps.size) < held.sum(axis=1)[:, None],
-        compose=2 * ((t[:, None] - t) % length) + (f[:, None] ^ f),
+        compose=per * ((t[:, None] - t) % length) + (f[:, None] ^ f),
         mirror=rep_index[mirrored], mirror_by=to_rep[mirrored])
     for table in tables.values():
         table.setflags(write=False)

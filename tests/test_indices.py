@@ -42,6 +42,7 @@ from catlab.spincore import (
     pauli_terms,
     pure_state,
     total_magnetization,
+    uniform_observable,
 )
 from catlab.thermal import SpinHamiltonian, gibbs_state
 
@@ -779,15 +780,24 @@ def test_interval_post_state_keeps_the_sphere_search_on_real_factors():
     assert report.c_value == pytest.approx(denseref.optimal_catness(rho.mat, amat), rel=1e-12)
 
 
-@pytest.mark.parametrize("m", [0, 6])
+@pytest.mark.parametrize("m", [0, 2])
 def test_polar_forms_are_real_for_a_real_state(m):
-    # m = 0 has more form columns than rows and keeps the standard basis;
-    # the pure m = 6 state takes the SVD basis
-    rho = _ring_post(OutcomeSpec.exact(m))
-    weights, vecs = rho.factors()
-    form = _catness_form(weights, vecs, [total_magnetization(axis, 6) for axis in "xz"])
+    # an open chain's post-state breaks the translation and takes one block,
+    # real for a real state
+    rho = post_state(gibbs_state(SpinHamiltonian(n=6, h=1.0, j=(0.2, 0.0, 0.1),
+                                                 boundary="open"), 1.0), OutcomeSpec.exact(m))
+    form = _catness_form(*rho.factors(), [total_magnetization(axis, 6) for axis in "xz"])
     assert _commutes_with_mz(rho)
-    assert vecs.dtype == form.forms.dtype == np.float64
+    assert rho.factors()[1].dtype == form.forms.dtype == np.float64
+    assert form.mult.tolist() == [1]
+    # a ring's real forms read each conjugate pair of momenta (k, 6 - k) once:
+    # the blocks k = 0..3, the two of 0 < k < 3 counted twice
+    ring = _catness_form(*_ring_post(OutcomeSpec.exact(m)).factors(),
+                         [total_magnetization(axis, 6) for axis in "xz"])
+    assert ring.real and ring.mult.tolist() == [1, 2, 2, 1]
+    forms, rows = ring.unfolded()
+    assert forms.shape[1] == rows.shape[0] == 6
+    np.testing.assert_array_equal(forms[:, 4:], ring.forms[:, 1:3].conj())
 
 @pytest.mark.parametrize("resolution", [2, 3])
 def test_polar_search_polishes_a_one_or_two_angle_grid(resolution):
@@ -832,12 +842,13 @@ def test_ascent_step_never_lowers_the_value(name):
 
 @pytest.mark.parametrize("resolution", [2, 3, 64, 312])
 def test_polar_search_evaluation_count(monkeypatch, resolution):
-    # the full-sphere search made about 424 form evaluations at resolution 312
+    # the full-sphere search evaluated about 424 directions at resolution 312;
+    # each row of a stack passed to value is one evaluated direction
     calls = []
     value = indices._CatnessForm.value
 
     def counting(self, coeffs):
-        calls.append(coeffs)
+        calls.extend(np.atleast_2d(coeffs))
         return value(self, coeffs)
 
     monkeypatch.setattr(indices._CatnessForm, "value", counting)
@@ -846,6 +857,104 @@ def test_polar_search_evaluation_count(monkeypatch, resolution):
     # no direction is evaluated twice: not the odd grid's z = 0, which is the
     # equator, nor the ascent's start, which is the best grid direction
     assert len({np.asarray(c).tobytes() for c in calls}) == len(calls)
+
+
+def _ring_shift(n):
+    """The basis-state permutation of T, which moves site s to site s + 1."""
+    idx = np.arange(2**n)
+    return (idx >> 1) | ((idx & 1) << (n - 1))
+
+
+def _translation_symmetrized(n, rank, seed):
+    """A random complex state averaged over the cyclic translations."""
+    g = denseref.random_density_matrix(n, np.random.default_rng(seed), rank)
+    shift = _ring_shift(n)
+    mats = [g]
+    for _ in range(n - 1):
+        mats.append(mats[-1][np.ix_(shift, shift)])
+    return as_state(sum(mats) / n)
+
+
+def _broken_ring_post():
+    """The m = 0 ring post-state with one pair of entries moved by 1e-9,
+    which breaks the translation."""
+    mat = _ring_post(OutcomeSpec.exact(0)).mat.copy()
+    i, j = np.flatnonzero(denseref.mz_eigenvalues(6) == 0)[[0, 3]]
+    mat[i, j] += 1e-9
+    mat[j, i] += 1e-9
+    return as_state(mat)
+
+
+# each state, the axes of its forms and the blocks they take: real forms
+# (a real state over x and z) keep the momenta k <= n / 2, complex ones (My,
+# or complex factors) all n, and a state that breaks the translation one
+_BLOCKED_STATES = {
+    "rho_ex1_6": (lambda: fixture_states("rho_ex1", 6), "xyz", 6),
+    "rho_ex1_8": (lambda: fixture_states("rho_ex1", 8), "xyz", 8),
+    "ring_m0": (lambda: _ring_post(OutcomeSpec.exact(0)), "xz", 4),
+    "ring_m2": (lambda: _ring_post(OutcomeSpec.exact(2)), "xz", 4),
+    "ring_window": (lambda: _INTERVAL[0](), "xyz", 6),
+    "ring_window_xz": (lambda: _INTERVAL[0](), "xz", 4),
+    "symmetrized": (lambda: _translation_symmetrized(5, 2, 7), "xyz", 5),
+    "broken_ring": (_broken_ring_post, "xz", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCKED_STATES))
+def test_momentum_blocks_match_the_dense_reference(name):
+    make, axes, blocks = _BLOCKED_STATES[name]
+    rho = make()
+    n, dense = rho.n, rho.mat
+    form = _catness_form(*rho.factors(), [total_magnetization(axis, n) for axis in axes])
+    assert form.forms.shape[1] == blocks
+    rng = np.random.default_rng(5)
+    directions = rng.standard_normal((6, len(axes)))
+    units = np.zeros((6, 3))
+    units[:, ["xyz".index(axis) for axis in axes]] = directions
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    amats = [sum(c * denseref.magnetization(axis, n) for c, axis in zip(unit, "xyz"))
+             for unit in units]
+    values, traces = form.value(directions)
+    for value, trace, amat in zip(values, traces, amats):
+        lam = np.linalg.eigvalsh(denseref.double_commutator(amat, dense))
+        assert value == pytest.approx(denseref.optimal_catness(dense, amat), rel=1e-10)
+        # counted at the package's floor: some directions have a true
+        # eigenvalue between it and _assert_matches_dense's 1e-9
+        assert trace == np.count_nonzero(lam > 1e-12 * (1.0 + np.abs(lam).max()))
+    for c in directions:  # no step lowers the value
+        before = form.value(c)[0]
+        assert form.value(form.step(c))[0] >= before - 1e-12 * (1.0 + before)
+    # the witnesses of one uniform A read the same blocks
+    a, amat = uniform_observable(units[0], n), amats[0]
+    d = denseref.double_commutator(amat, dense)
+    lam, u = np.linalg.eigh(d)
+    top = u[:, lam > 1e-9 * np.abs(lam).max()]
+    eta, value = optimal_witness(rho, a)
+    assert value == pytest.approx(denseref.optimal_catness(dense, amat), rel=1e-10)
+    np.testing.assert_allclose(eta, top @ top.conj().T, atol=1e-9)
+    assert q_functional(rho, a) == pytest.approx(denseref.trace_norm(d), rel=1e-10)
+    g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    for eta in (g + g.conj().T, g @ g.conj().T / 2**n):  # Hermitian, complex
+        want = np.trace(eta @ d).real
+        assert expect_c(rho, a, eta) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_one_rank_floor_serves_every_momentum_block():
+    # a pure state of momentum 0: every form column lies in the k = 0 block,
+    # and the other blocks hold only rounding, which one floor over all
+    # blocks drops (a floor per block would keep it as directions of its own)
+    n, shift = 6, _ring_shift(6)
+    rng = np.random.default_rng(3)
+    psi = cur = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    for _ in range(n - 1):
+        cur = cur[shift]
+        psi = psi + cur
+    rho = pure_state(psi)
+    form = _catness_form(*rho.factors(), [total_magnetization(axis, n) for axis in "xyz"])
+    assert form.forms.shape[1] == n and not form.basis[1:].any()
+    amat = denseref.magnetization("y", n)
+    assert form.value((0.0, 1.0, 0.0))[0] == pytest.approx(
+        denseref.optimal_catness(rho.mat, amat), rel=1e-10)
 
 
 def test_search_reads_a_window_state_through_its_block():

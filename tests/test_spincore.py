@@ -211,6 +211,15 @@ def test_symmetry_group_tables_on_the_six_site_ring():
     assert list(np.flatnonzero(group.held[:, i])) == [0, 7]
     # the kept blocks, with their conjugates, hold every basis state once
     assert int(group.mult @ group.valid.sum(axis=1)) == 64
+    # without the flip: the six translations, one row per momentum k <= 3
+    # (the search forms' blocks); T^2 and T^4 fix the alternating state, so
+    # only k = 0 and k = 3 hold its orbit of two states
+    moves = _symmetry_group(6, True, False)
+    assert moves.images.shape == (6, 64) and moves.images[1][alt] == 0b101010
+    assert moves.stab[moves.rep_index[alt]] == 3
+    assert moves.mult.tolist() == [1, 2, 2, 1]
+    assert list(np.flatnonzero(moves.held[:, moves.rep_index[alt]])) == [0, 3]
+    assert int(moves.mult @ moves.held.sum(axis=1)) == 64
 
 
 @pytest.mark.parametrize("n, j, boundary", [(6, (0.0, 0.0, 0.0), "periodic"),
