@@ -289,6 +289,22 @@ def _translation_group(weights: np.ndarray, vecs: np.ndarray, observables):
     return group
 
 
+def _rank_cut(stack: np.ndarray, r: int, eps: float):
+    """The momentum blocks of stack, one at a time, each cut to the rank of
+    its first r columns V_k = U_k S_k W_k^dagger: every group of r columns
+    times W_k, keeping the singular values above eps times the largest over
+    all V_k. W_k is first cut at eps times V_k's own largest value, which
+    keeps at least as much, so that about r x r right vectors are held."""
+    right = []
+    for block in stack:
+        s, wh = np.linalg.svd(block[:, :r], full_matrices=False)[1:]
+        keep = s > eps * s.max(initial=0.0)
+        right.append((s[keep], wh[keep]))
+    floor = eps * max(s.max(initial=0.0) for s, _ in right)
+    for block, (s, wh) in zip(stack, right):
+        yield (block.reshape(len(block), -1, r) @ wh[s > floor].conj().T).reshape(len(block), -1)
+
+
 def _catness_form(weights: np.ndarray, vecs: np.ndarray,
                   observables) -> _CatnessForm:
     """The form of [A, [A, rho]] over A = sum_a c_a O_a, for rho = V diag(w) V^dagger.
@@ -304,10 +320,20 @@ def _catness_form(weights: np.ndarray, vecs: np.ndarray,
     FFT along it give the coefficients on the momentum states of the orbits.
     A real column block keeps k <= n / 2, each k < n / 2 standing for the
     conjugate pair (k, n - k); a complex one keeps all n. Any other rho is
-    one block. Every block is orthonormalized by its SVD, its null
-    directions dropped below one floor for all blocks: the largest singular
-    value times max(2^n, L) times eps. So a block's side K is at most its
-    rank, and the forms are written in that basis.
+    one block.
+
+    Every block is orthonormalized by its SVD, its null directions dropped
+    below one floor for all blocks: the largest singular value times
+    max(2^n, L) times eps. So a block's side K is at most its rank, and the
+    forms are written in that basis. A momentum block's SVD reads only the
+    columns its part V_k of V (its first r columns) spans: every O_a
+    commutes with T, so block k is [V_k, O_a V_k, S_ab V_k] with O_a and S_ab
+    taken at momentum k. V_k^dagger V_k = V^dagger P_k V is a projector, as T
+    keeps the range of V, so V_k's singular values are 0 or 1. Each group of
+    r columns times W_k, for V_k = U_k S_k W_k^dagger cut below the same
+    floor over the V_k, keeps the block's span in (1 + count + pairs)
+    rank(V_k) columns, against L. One block has nothing to cut: V is
+    orthonormal and of full rank.
     """
     r, dim = len(weights), vecs.shape[0]
     count = len(observables)
@@ -333,12 +359,18 @@ def _catness_form(weights: np.ndarray, vecs: np.ndarray,
         mult = group.mult if real else np.ones(n, dtype=int)
         phase = np.exp(2j * np.pi * np.outer(k, group.to_rep) / n)
         lift = group.rep_index, phase * np.sqrt(group.stab / n)[group.rep_index]
+    eps = max(cols.shape) * np.finfo(float).eps
+    # one block: V is orthonormal and of full rank, nothing to cut
+    cut = stack if group is None else _rank_cut(stack, r, eps)
     # one block at a time, so that only one block's right vectors are held
-    u, s = (np.stack(part) for part in zip(*(np.linalg.svd(block, full_matrices=False)[:2]
-                                             for block in stack)))
-    kept = s > s.max(initial=0.0) * max(cols.shape) * np.finfo(float).eps
-    side = int(kept.sum(axis=1).max(initial=0))
-    basis = (u[:, :, :side] * kept[:, None, :side]).conj().swapaxes(1, 2)
+    u, s = zip(*(np.linalg.svd(block, full_matrices=False)[:2] for block in cut))
+    floor = eps * max(sv.max(initial=0.0) for sv in s)
+    sides = [int((sv > floor).sum()) for sv in s]
+    side = max(sides)
+    basis = np.zeros((len(stack), side, stack.shape[1]), dtype=stack.dtype)
+    for row, uk, kept in zip(basis, u, sides):
+        row[:kept] = uk[:, :kept].conj().T
+    del u  # copied into basis: not held through the products below
     blocks = np.split(basis @ stack, 1 + count + len(pairs), axis=2)
     p0, x, y = blocks[0], blocks[1:count + 1], blocks[count + 1:]
     forms = np.empty((len(pairs), *p0.shape[:2], side), dtype=p0.dtype)
@@ -388,9 +420,12 @@ def observable_search(rho: QuantumState,
     cyclic translation, and each direction costs one linear combination and
     one eigvalsh per block. A block's side is at most its rank, and the sides,
     each conjugate pair counted twice, sum to the rank of the form's columns,
-    at most min(10 rank(rho), 2^n). The grid has resolution directions,
-    evaluated in stacked calls. On the m = 0 post-state of the n = 10 XYZ ring
-    the blocks are 6 of side 77-82, where one block would have side 1024.
+    at most min(10 rank(rho), 2^n). Each block's basis is the SVD of its
+    columns cut to the rank of its part of V: on rho_ex1 at n = 10, 10
+    columns of 108 rows per momentum in place of 100. The grid has resolution
+    directions, evaluated in stacked calls. On the m = 0 post-state of the
+    n = 10 XYZ ring the blocks are 6 of side 77-82, where one block would have
+    side 1024.
     The ascent takes at most 200 _CatnessForm.step moves, each retried at
     twice its length while the value rises, and stops at a fixed point of
     the step or at a move that does not raise the value.

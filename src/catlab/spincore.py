@@ -631,10 +631,11 @@ def _symmetry_defect(group: _SymmetryGroup, masks: np.ndarray, amps: np.ndarray)
     if np.abs(swapped - amps).max(initial=0.0) > HERM_TOL * scale:
         return "must be Hermitian"
     # F sends k to k ^ (2^n - 1), which reverses the basis order
-    if np.abs(amps[:, ::-1] - amps).max(initial=0.0) > HERM_TOL * scale:
+    per = len(group.images) // group.length  # 2 with the flip, 1 without
+    if per == 2 and np.abs(amps[:, ::-1] - amps).max(initial=0.0) > HERM_TOL * scale:
         return "does not commute with the global flip"
     if group.length > 1:
-        shift = group.images[2]
+        shift = group.images[per]
         where = {int(m): i for i, m in enumerate(masks)}
         partner = [where.get(int(m), -1) for m in shift[masks]]
         # T H T^-1 = H: the term on T f carries amp_f moved along by T

@@ -377,7 +377,7 @@ def test_catness_form_matches_dense_reference(n, rank):
     _assert_matches_dense(single.value((1.0,)), rho.mat, amat)
 
 
-@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("n", [6, 8, 10])
 def test_observable_search_rho_ex1_fixture_values(n):
     # half the q_functional 4(n-2)^2 that the oracle checks for rho_ex1
     report = observable_search(fixture_states("rho_ex1", n))
@@ -875,6 +875,15 @@ def _translation_symmetrized(n, rank, seed):
     return as_state(sum(mats) / n)
 
 
+def _rotated_rho_ex1(n, seed):
+    """rho_ex1 as FactoredState(V Q, w) for a random unitary Q: the same state,
+    since its weights are all equal, but every column mixes all momenta."""
+    weights, vecs = fixture_states("rho_ex1", n).factors()
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return FactoredState(vecs @ q, weights)
+
+
 def _broken_ring_post():
     """The m = 0 ring post-state with one pair of entries moved by 1e-9,
     which breaks the translation."""
@@ -891,6 +900,7 @@ def _broken_ring_post():
 _BLOCKED_STATES = {
     "rho_ex1_6": (lambda: fixture_states("rho_ex1", 6), "xyz", 6),
     "rho_ex1_8": (lambda: fixture_states("rho_ex1", 8), "xyz", 8),
+    "rho_ex1_8_rotated": (lambda: _rotated_rho_ex1(8, 11), "xyz", 8),
     "ring_m0": (lambda: _ring_post(OutcomeSpec.exact(0)), "xz", 4),
     "ring_m2": (lambda: _ring_post(OutcomeSpec.exact(2)), "xz", 4),
     "ring_window": (lambda: _INTERVAL[0](), "xyz", 6),

@@ -222,6 +222,21 @@ def test_symmetry_group_tables_on_the_six_site_ring():
     assert int(moves.mult @ moves.held.sum(axis=1)) == 64
 
 
+def test_translation_group_without_the_flip_checks_t_alone():
+    # its generator is T = images[1], not images[2] = T^2, and it holds no
+    # flip: ZZ on the bonds (1, 2), (3, 4), (5, 6) is invariant under T^2
+    # only, and M_z commutes with every translation but not with the flip
+    group = _symmetry_group(6, True, False)
+    orbits = np.arange(group.reps.size)
+    dimers = pauli_terms(6, bonds=[(a, a + 1, (0.0, 0.0, 1.0)) for a in (1, 3, 5)])
+    with pytest.raises(ContractViolationError, match="cyclic translation"):
+        spincore._character_blocks(group, dimers, orbits)
+    blocks = spincore._character_blocks(group, total_magnetization("z", 6).terms(), orbits)
+    # M_z is diagonal: each momentum reads M_z of the orbits it holds
+    want = (group.held * mz_values(6)[group.reps])[:, :, None] * np.eye(orbits.size)
+    np.testing.assert_allclose(blocks, want, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n, j, boundary", [(6, (0.0, 0.0, 0.0), "periodic"),
                                           (8, (0.2, 0.1, 0.3), "periodic"),
                                           (8, (0.2, 0.1, 0.3), "open")])
